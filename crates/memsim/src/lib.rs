@@ -21,6 +21,8 @@
 //! * [`Machine`] — the event loop: drives an access stream through the PMU
 //!   and debug registers and calls back into a [`Profiler`] exactly like the
 //!   kernel delivers PMU interrupts and debug traps to a signal handler.
+//!   [`MachineRun`] is the same loop held open between calls, so a stream
+//!   can arrive in pieces and be reported on mid-way.
 //! * [`CostModel`] / [`CostLedger`] — a cycle/byte cost model so that the
 //!   time and memory overheads the paper reports (≈5 % / ≈7 %) can be
 //!   reproduced from event counts.
@@ -73,6 +75,8 @@ mod scan;
 pub use cost::{CostLedger, CostModel};
 pub use debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, WatchKind, Watchpoint};
 pub use kernels::{KernelChoice, KernelEntry, KernelKind, ScanKernel};
-pub use machine::{Hardware, Machine, MachineConfig, Profiler, RunReport, Sample, Trap};
+pub use machine::{
+    Hardware, Machine, MachineConfig, MachineRun, Profiler, RunReport, Sample, Trap,
+};
 pub use pmu::{CounterSnapshot, Pmu, PmuEvent, SamplingConfig};
 pub use scan::{NeedleSet, ScanOutcome};

@@ -241,7 +241,26 @@ impl Machine {
         &self.config
     }
 
-    /// Runs the stream to completion, delivering events to `profiler`.
+    /// Starts a resumable run: fresh PMU, registers and ledger, with the
+    /// scan kernel resolved once against the host capability table.
+    #[must_use]
+    pub fn start(&self) -> MachineRun {
+        MachineRun {
+            pmu: Pmu::new(self.config.sampling, self.config.seed),
+            drf: DebugRegisterFile::new(self.config.registers),
+            ledger: CostLedger::default(),
+            index: 0,
+            kernel: kernels::resolve_scan(self.config.scan_kernel),
+            eligible: self.config.sampling.max_skid == 0
+                && self.config.sampling.event == PmuEvent::Accesses,
+            kernel_reported: false,
+            cost: self.config.cost,
+        }
+    }
+
+    /// Runs the stream to completion, delivering events to `profiler`:
+    /// [`start`](Machine::start), one [`feed`](MachineRun::feed), then
+    /// [`finish`](MachineRun::finish).
     ///
     /// Event order on each access: counters advance first; then an armed
     /// watchpoint covering the access fires a [`Trap`] (the register is
@@ -249,6 +268,39 @@ impl Machine {
     /// on this access, a [`Sample`] is delivered. A watchpoint armed inside
     /// a handler is first eligible to fire on the *next* access — hardware
     /// cannot retroactively trap the access that is already retiring.
+    pub fn run(&self, stream: impl AccessStream, profiler: &mut impl Profiler) -> RunReport {
+        let mut run = self.start();
+        run.feed(stream, profiler);
+        run.finish(profiler)
+    }
+}
+
+/// A machine run in progress: the PMU, debug registers, cost ledger and
+/// access index that [`Machine::run`] keeps between accesses, held
+/// across calls so a stream can arrive in pieces.
+///
+/// Feeding a stream in any number of pieces delivers exactly the events
+/// of one [`Machine::run`] over their concatenation. Cloning the run
+/// together with its profiler and finishing the clones
+/// ([`snapshot`](MachineRun::snapshot)) reports the stream so far
+/// without disturbing the live run.
+#[derive(Debug, Clone)]
+pub struct MachineRun {
+    pmu: Pmu,
+    drf: DebugRegisterFile,
+    ledger: CostLedger,
+    index: u64,
+    /// One kernel per run: resolved at start, never re-dispatched.
+    kernel: KernelKind,
+    /// The sampling mode admits the chunk fast path.
+    eligible: bool,
+    /// `rdx.machine.scan.kernel` counts runs, not feeds.
+    kernel_reported: bool,
+    cost: CostModel,
+}
+
+impl MachineRun {
+    /// Runs `stream` to its end, delivering events to `profiler`.
     ///
     /// # Fast path
     ///
@@ -264,19 +316,10 @@ impl Machine {
     /// consumption and cost accounting are bit-identical to the slow
     /// loop. Everything else — non-chunked streams, skidding or
     /// event-filtered sampling, stream tails — falls back per access.
-    pub fn run(&self, mut stream: impl AccessStream, profiler: &mut impl Profiler) -> RunReport {
-        let mut pmu = Pmu::new(self.config.sampling, self.config.seed);
-        let mut drf = DebugRegisterFile::new(self.config.registers);
-        let mut ledger = CostLedger::default();
-        let mut index: u64 = 0;
-
-        let eligible =
-            self.config.sampling.max_skid == 0 && self.config.sampling.event == PmuEvent::Accesses;
-        let mut try_chunks = eligible && stream.chunk_capable();
-        // One kernel per run: resolved against the host capability
-        // table here, never re-dispatched inside the loop.
-        let kernel = kernels::resolve_scan(self.config.scan_kernel);
-        if try_chunks {
+    pub fn feed(&mut self, mut stream: impl AccessStream, profiler: &mut impl Profiler) {
+        let mut try_chunks = self.eligible && stream.chunk_capable();
+        if try_chunks && !self.kernel_reported {
+            self.kernel_reported = true;
             rdx_metrics::counter("rdx.machine.scan.kernel").incr();
         }
         // Engagement counters, accumulated locally and flushed once so
@@ -293,12 +336,12 @@ impl Machine {
                         fp_scanned += chunk.len() as u64;
                         run_chunk(
                             chunk,
-                            kernel,
-                            &mut pmu,
-                            &mut drf,
-                            &mut ledger,
+                            self.kernel,
+                            &mut self.pmu,
+                            &mut self.drf,
+                            &mut self.ledger,
                             profiler,
-                            &mut index,
+                            &mut self.index,
                         );
                         chunk.len()
                     }
@@ -316,8 +359,15 @@ impl Machine {
                 break;
             };
             fp_fallbacks += 1;
-            step_access(access, &mut pmu, &mut drf, &mut ledger, profiler, index);
-            index += 1;
+            step_access(
+                access,
+                &mut self.pmu,
+                &mut self.drf,
+                &mut self.ledger,
+                profiler,
+                self.index,
+            );
+            self.index += 1;
         }
 
         if fp_chunks > 0 || fp_scanned > 0 {
@@ -325,7 +375,7 @@ impl Machine {
             rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(fp_scanned);
             // Per-kernel totals, named literally per match arm so the
             // counter-manifest lint sees every name.
-            match kernel {
+            match self.kernel {
                 KernelKind::Scalar => {
                     rdx_metrics::counter("rdx.machine.scan.scalar_accesses").add(fp_scanned);
                 }
@@ -340,22 +390,36 @@ impl Machine {
         if fp_fallbacks > 0 {
             rdx_metrics::counter("rdx.machine.fastpath.fallbacks").add(fp_fallbacks);
         }
+    }
 
-        let counters = pmu.counters();
+    /// Ends the run: [`Profiler::on_finish`] sees the registers still
+    /// armed, then the report sums up the run.
+    pub fn finish(mut self, profiler: &mut impl Profiler) -> RunReport {
+        let counters = self.pmu.counters();
         let mut hw = Hardware {
-            drf: &mut drf,
-            ledger: &mut ledger,
+            drf: &mut self.drf,
+            ledger: &mut self.ledger,
             counters,
-            index: index.saturating_sub(1),
+            index: self.index.saturating_sub(1),
         };
         profiler.on_finish(&mut hw);
 
         RunReport {
-            accesses: index,
+            accesses: self.index,
             counters,
-            ledger,
-            cost: self.config.cost,
+            ledger: self.ledger,
+            cost: self.cost,
         }
+    }
+
+    /// Finishes clones of the run and of `profiler`, leaving both
+    /// originals live: the report and finished profiler of the stream
+    /// so far, exactly as if it had ended here.
+    #[must_use]
+    pub fn snapshot<P: Profiler + Clone>(&self, profiler: &P) -> (P, RunReport) {
+        let mut finished = profiler.clone();
+        let report = self.clone().finish(&mut finished);
+        (finished, report)
     }
 }
 

@@ -29,7 +29,7 @@ impl Profiler for Recorder {
 /// registers churning with FIFO eviction, so any divergence between the
 /// machine's two execution paths — event position, slot choice, counter
 /// snapshot, arm metadata — shows up as an inequality.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct EventLog {
     samples: Vec<Sample>,
     traps: Vec<Trap>,
@@ -158,6 +158,67 @@ proptest! {
         prop_assert_eq!(&slow.traps, &chunked.traps);
         prop_assert_eq!(&slow.finish_armed, &chunked.finish_armed);
         prop_assert_eq!(&slow_report, &chunked_report);
+    }
+
+    /// A run fed in arbitrary pieces is the run over their
+    /// concatenation: same event log, same report. Snapshots taken
+    /// between pieces report exactly the run over the prefix so far and
+    /// leave the live run untouched.
+    #[test]
+    fn split_feeds_equal_one_run(
+        accesses in prop::collection::vec((0u64..256, any::<bool>()), 1..2500),
+        cuts in prop::collection::vec(any::<u64>(), 0..8),
+        period in 5u64..200,
+        registers in 1usize..6,
+        chunked in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let trace: Trace = accesses.iter().map(|&(a, s)| (a * 8, s)).collect();
+        let config = MachineConfig {
+            registers,
+            sampling: SamplingConfig {
+                period,
+                jitter: period / 10,
+                ..SamplingConfig::default()
+            },
+            seed,
+            ..MachineConfig::default()
+        };
+        let machine = Machine::new(config);
+        let mut whole = EventLog::default();
+        let whole_report = machine.run(trace.stream(), &mut whole);
+
+        let mut points: Vec<usize> = cuts
+            .iter()
+            .map(|&c| (c % (trace.len() as u64 + 1)) as usize)
+            .collect();
+        points.push(trace.len());
+        points.sort_unstable();
+        let mut run = machine.start();
+        let mut log = EventLog::default();
+        let mut at = 0;
+        for &to in &points {
+            let piece = &trace.accesses()[at..to];
+            if chunked {
+                run.feed(piece, &mut log);
+            } else {
+                run.feed(Opaque::new(piece), &mut log);
+            }
+            at = to;
+            // The snapshot is the finished run over the prefix.
+            let mut offline = EventLog::default();
+            let offline_report = machine.run(&trace.accesses()[..to], &mut offline);
+            let (snap, snap_report) = run.snapshot(&log);
+            prop_assert_eq!(&snap.samples, &offline.samples);
+            prop_assert_eq!(&snap.traps, &offline.traps);
+            prop_assert_eq!(&snap.finish_armed, &offline.finish_armed);
+            prop_assert_eq!(&snap_report, &offline_report);
+        }
+        let report = run.finish(&mut log);
+        prop_assert_eq!(&log.samples, &whole.samples);
+        prop_assert_eq!(&log.traps, &whole.traps);
+        prop_assert_eq!(&log.finish_armed, &whole.finish_armed);
+        prop_assert_eq!(&report, &whole_report);
     }
 
     /// The machine is a pure function of (trace, config).

@@ -54,10 +54,13 @@
 //! `rdx trace` prints the resolved kernel it decoded with.
 //!
 //! `serve` runs the long-lived framed profiling daemon from
-//! `rdx-server`; `client` streams a workload or trace file to such a
+//! `rdx-server` (`--max-session-bytes` caps what one session may
+//! receive in total); `client` streams a workload or trace file to such a
 //! daemon in `--chunk-bytes`-sized pieces and prints the profile the
-//! server measured. `--crosscheck` additionally profiles the same bytes
-//! locally and fails unless the two profiles are bit-identical.
+//! server measured. `--crosscheck` additionally takes a live snapshot
+//! after every chunk and profiles the same bytes locally — each prefix
+//! sent so far and the whole — and fails unless every server answer is
+//! bit-identical to its local profile.
 //!
 //! Numeric flags are validated at parse time against
 //! `rdx_core::limits` — `--period 0` or `--registers 7` is a flag
@@ -1199,7 +1202,9 @@ fn emit_trace_metrics(decoded: u64) -> ExitCode {
 /// address (`127.0.0.1:7979`, port 0 picks one) or a Unix socket path;
 /// the resolved address is printed (and flushed) before serving so
 /// scripts can capture it. With `--max-conns N` the server exits
-/// cleanly after serving N connections.
+/// cleanly after serving N connections. `--max-session-bytes N` caps
+/// the bytes one session may receive in total (default 256 MiB);
+/// sessions keep no bytes, so the cap bounds work, not memory.
 fn serve_cmd(args: &[String]) -> ExitCode {
     let mut listen: Option<String> = None;
     let mut max_conns: Option<u64> = None;
@@ -1279,8 +1284,9 @@ fn serve_cmd(args: &[String]) -> ExitCode {
 
 /// Streams a workload or RDXT trace file to a running server and prints
 /// the profile the server measured, plus its registry-golden digest.
-/// With `--crosscheck` the same bytes are also profiled locally and the
-/// two profiles must be bit-identical.
+/// With `--crosscheck` the client also requests a snapshot after every
+/// chunk; each snapshot and the final profile must be bit-identical to
+/// a local profile of the same bytes.
 fn client_cmd(args: &[String]) -> ExitCode {
     let (Some(addr), Some(target)) = (args.first(), args.get(1)) else {
         return usage();
@@ -1371,8 +1377,16 @@ fn client_cmd(args: &[String]) -> ExitCode {
     let served = (|| -> Result<_, rdx_server::ClientError> {
         let mut client = rdx_server::Client::connect(&listen)?;
         let session = client.open_session(&label, sopts)?;
+        // With --crosscheck, a live snapshot after every chunk, checked
+        // below against a local profile of the bytes sent so far.
+        let mut snapshots = Vec::new();
+        let mut sent = 0usize;
         for chunk in bytes.chunks(chunk_bytes) {
             client.send_chunk(session, chunk)?;
+            sent += chunk.len();
+            if opts.crosscheck {
+                snapshots.push((sent, client.snapshot_histogram(session)));
+            }
         }
         let flush = client.flush(session)?;
         let metrics = if opts.metrics {
@@ -1381,9 +1395,9 @@ fn client_cmd(args: &[String]) -> ExitCode {
             None
         };
         let close = client.close_session(session)?;
-        Ok((flush, metrics, close))
+        Ok((flush, metrics, close, snapshots))
     })();
-    let (flush, metrics, close) = match served {
+    let (flush, metrics, close, snapshots) = match served {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1424,6 +1438,9 @@ fn client_cmd(args: &[String]) -> ExitCode {
     };
 
     if opts.crosscheck {
+        if !crosscheck_snapshots(&label, &bytes, sopts, snapshots) {
+            code = ExitCode::FAILURE;
+        }
         // Profile the identical bytes locally with the identical
         // options; the server's answer must match bit for bit.
         let input = match RdxtInput::from_bytes(label.clone(), bytes) {
@@ -1448,6 +1465,62 @@ fn client_cmd(args: &[String]) -> ExitCode {
         }
     }
     code
+}
+
+/// Checks each live snapshot the client took (after `sent` bytes)
+/// against a local `profile_rdxt` of exactly those bytes: equal
+/// digests, or `NotReady` while the prefix holds no complete header.
+/// Returns whether every snapshot matched.
+fn crosscheck_snapshots(
+    label: &str,
+    bytes: &[u8],
+    sopts: rdx_server::SessionOptions,
+    snapshots: Vec<(
+        usize,
+        Result<rdx_server::ProfileSnapshot, rdx_server::ClientError>,
+    )>,
+) -> bool {
+    let digest = |s: &rdx_server::ProfileSnapshot| {
+        let mut d = rdx_server::Fnv64::new();
+        s.fold_into(&mut d);
+        d.value()
+    };
+    let runner = RdxRunner::new(sopts.config());
+    let total = snapshots.len();
+    let mut matched = 0usize;
+    for (sent, served) in snapshots {
+        let local = RdxtInput::from_bytes(label, bytes[..sent].to_vec())
+            .ok()
+            .map(|input| runner.profile_rdxt(input, &sopts.ingest()).0);
+        let ok = match (&served, &local) {
+            (Ok(snap), Some(p)) => {
+                digest(snap) == digest(&rdx_server::ProfileSnapshot::from_profile(p))
+            }
+            (
+                Err(rdx_server::ClientError::Server {
+                    code: rdx_server::ErrorCode::NotReady,
+                    ..
+                }),
+                None,
+            ) => true,
+            _ => false,
+        };
+        if ok {
+            matched += 1;
+        } else {
+            let served = served.map(|s| format!("{:#018x}", digest(&s)));
+            eprintln!(
+                "error: snapshot after {sent} B differs from the local prefix profile \
+                 (server {served:?}, local {:?})",
+                local.map(|p| format!(
+                    "{:#018x}",
+                    digest(&rdx_server::ProfileSnapshot::from_profile(&p))
+                ))
+            );
+        }
+    }
+    println!("snapshots       : {matched}/{total} match local prefix profiles");
+    matched == total
 }
 
 /// `rdx client … --aggregate N`: stream the same bytes into `n`

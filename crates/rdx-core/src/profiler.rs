@@ -38,6 +38,30 @@ pub struct RdxProfiler {
     pub(crate) duplicate_samples: u64,
 }
 
+/// A clone keeps each buffer's capacity: [`RdxProfiler::memory_bytes`]
+/// counts capacity, so a snapshot finished from a clone accounts the
+/// same bytes as the live profiler it copies.
+impl Clone for RdxProfiler {
+    fn clone(&self) -> Self {
+        fn keep_capacity<T: Copy>(v: &[T], capacity: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(capacity);
+            out.extend_from_slice(v);
+            out
+        }
+        RdxProfiler {
+            watch_width: self.watch_width,
+            replacement: self.replacement,
+            max_armed_accesses: self.max_armed_accesses,
+            rng: self.rng.clone(),
+            completed: keep_capacity(&self.completed, self.completed.capacity()),
+            evicted: keep_capacity(&self.evicted, self.evicted.capacity()),
+            end_censored: keep_capacity(&self.end_censored, self.end_censored.capacity()),
+            dropped_samples: self.dropped_samples,
+            duplicate_samples: self.duplicate_samples,
+        }
+    }
+}
+
 impl RdxProfiler {
     /// Creates a profiler for the given configuration.
     #[must_use]
@@ -180,15 +204,14 @@ impl Profiler for RdxProfiler {
             armed[armed_len] = slot;
             armed_len += 1;
         }
-        let mut end_censored = 0u64;
+        // Counted as `rdx.profiler.end_censored` by `RdxRun::finish`,
+        // not here: snapshots finish clones and must not count.
         for &slot in &armed[..armed_len] {
             if let Some(info) = hw.disarm(slot) {
-                end_censored += 1;
                 self.end_censored
                     .push(now.saturating_sub(info.accesses_at_arm));
             }
         }
-        rdx_metrics::counter("rdx.profiler.end_censored").add(end_censored);
     }
 }
 

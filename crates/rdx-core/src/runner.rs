@@ -5,7 +5,7 @@ use crate::convert::WeightedFootprint;
 use crate::km::{KaplanMeier, Observation};
 use crate::profiler::RdxProfiler;
 use crate::report::RdxProfile;
-use memsim::Machine;
+use memsim::{Machine, MachineRun, RunReport};
 use rdx_histogram::{RdHistogram, ReuseDistance, ReuseTime, RtHistogram};
 use rdx_trace::AccessStream;
 
@@ -35,174 +35,231 @@ impl RdxRunner {
     /// histogram and overhead accounting.
     pub fn profile(&self, stream: impl AccessStream) -> RdxProfile {
         let _profile_span = rdx_metrics::span("rdx.profile");
-        rdx_metrics::counter("rdx.runner.profiles").incr();
-        let cfg = &self.config;
-        let mut profiler = RdxProfiler::new(cfg);
-        let machine_span = rdx_metrics::span("machine");
-        let report = Machine::new(cfg.machine).run(stream, &mut profiler);
-        drop(machine_span);
-        let n = report.counters.loads + report.counters.stores;
-        rdx_metrics::counter("rdx.runner.accesses").add(n);
+        let mut run = RdxRun::new(&self.config);
+        run.feed(stream);
+        run.finish()
+    }
+}
 
-        // --- Censoring correction -------------------------------------
-        // Two intertwined processes act on each armed watchpoint:
-        //
-        // * the *reuse* process — the block is accessed again at its reuse
-        //   interval (an event we want the distribution of);
-        // * the *eviction* process — register pressure disarms the
-        //   watchpoint first (censoring, biased against long intervals).
-        //
-        // A Kaplan–Meier fit of the eviction process yields IPCW weights
-        // `1/C_evict(t)` that de-bias the observed pairs; the cold bucket
-        // is the IPCW-corrected count of watchpoints still armed at the
-        // end of the run (last touches of their blocks).
-        let censor_span = rdx_metrics::span("censor");
-        let (pair_weights, cold_frac): (Vec<(u64, f64)>, f64) = match cfg.censoring {
-            CensoringCorrection::None => {
-                let resolved = profiler.completed.len() + profiler.end_censored.len();
-                let cold = if resolved == 0 {
-                    0.0
-                } else {
-                    profiler.end_censored.len() as f64 / resolved as f64
-                };
-                (
-                    profiler
-                        .completed
-                        .iter()
-                        .map(|p| (p.reuse_time, 1.0))
-                        .collect(),
-                    cold,
-                )
-            }
-            CensoringCorrection::Ipcw => {
-                let mut evict_obs: Vec<Observation> = Vec::with_capacity(
-                    profiler.completed.len() + profiler.evicted.len() + profiler.end_censored.len(),
-                );
-                let mut reuse_obs: Vec<Observation> = Vec::with_capacity(evict_obs.capacity());
-                for p in &profiler.completed {
-                    let d = p.reuse_time + 1;
-                    evict_obs.push(Observation {
-                        duration: d,
-                        evicted: false,
-                    });
-                    reuse_obs.push(Observation {
-                        duration: d,
-                        evicted: true, // a reuse-process *event*
-                    });
-                }
-                for &d in &profiler.evicted {
-                    evict_obs.push(Observation {
-                        duration: d,
-                        evicted: true,
-                    });
-                    reuse_obs.push(Observation {
-                        duration: d,
-                        evicted: false,
-                    });
-                }
-                for &d in &profiler.end_censored {
-                    evict_obs.push(Observation {
-                        duration: d,
-                        evicted: false,
-                    });
-                    reuse_obs.push(Observation {
-                        duration: d,
-                        evicted: false,
-                    });
-                }
-                let km_evict = KaplanMeier::fit(&evict_obs);
-                let pairs: Vec<(u64, f64)> = profiler
+/// A profile in progress: one resumable machine run and its profiler,
+/// fed a stream in any number of pieces.
+///
+/// Its state grows with the samples taken — the armed watchpoints and
+/// the completed use–reuse pairs — never with the accesses fed.
+/// [`snapshot`](RdxRun::snapshot) reports the stream so far without
+/// ending the run, bit-identical to [`RdxRunner::profile`] over that
+/// prefix; [`finish`](RdxRun::finish) ends it. Callers open the
+/// `rdx.profile` span around either, as [`RdxRunner::profile`] does.
+#[derive(Debug)]
+pub struct RdxRun {
+    config: RdxConfig,
+    machine: MachineRun,
+    profiler: RdxProfiler,
+}
+
+impl RdxRun {
+    /// Starts a run with the given configuration.
+    #[must_use]
+    pub fn new(config: &RdxConfig) -> Self {
+        RdxRun {
+            config: *config,
+            machine: Machine::new(config.machine).start(),
+            profiler: RdxProfiler::new(config),
+        }
+    }
+
+    /// Runs `stream` through the machine.
+    pub fn feed(&mut self, stream: impl AccessStream) {
+        let _machine_span = rdx_metrics::span("machine");
+        self.machine.feed(stream, &mut self.profiler);
+    }
+
+    /// The profile of everything fed so far, as if the stream ended
+    /// here. Finishes clones of the machine run and the profiler, so
+    /// the run goes on and no `rdx.profiler.*` or `rdx.runner.*`
+    /// counter moves: only [`finish`](RdxRun::finish) counts.
+    #[must_use]
+    pub fn snapshot(&self) -> RdxProfile {
+        let (profiler, report) = self.machine.snapshot(&self.profiler);
+        censor_and_convert(&self.config, &profiler, &report)
+    }
+
+    /// Ends the run and returns its profile.
+    #[must_use]
+    pub fn finish(mut self) -> RdxProfile {
+        let report = self.machine.finish(&mut self.profiler);
+        let n = report.counters.loads + report.counters.stores;
+        rdx_metrics::counter("rdx.profiler.end_censored")
+            .add(self.profiler.end_censored.len() as u64);
+        rdx_metrics::counter("rdx.runner.profiles").incr();
+        rdx_metrics::counter("rdx.runner.accesses").add(n);
+        censor_and_convert(&self.config, &self.profiler, &report)
+    }
+}
+
+/// Censoring correction and time→distance conversion over a finished
+/// profiler and its run report.
+fn censor_and_convert(cfg: &RdxConfig, profiler: &RdxProfiler, report: &RunReport) -> RdxProfile {
+    let n = report.counters.loads + report.counters.stores;
+
+    // --- Censoring correction -------------------------------------
+    // Two intertwined processes act on each armed watchpoint:
+    //
+    // * the *reuse* process — the block is accessed again at its reuse
+    //   interval (an event we want the distribution of);
+    // * the *eviction* process — register pressure disarms the
+    //   watchpoint first (censoring, biased against long intervals).
+    //
+    // A Kaplan–Meier fit of the eviction process yields IPCW weights
+    // `1/C_evict(t)` that de-bias the observed pairs; the cold bucket
+    // is the IPCW-corrected count of watchpoints still armed at the
+    // end of the run (last touches of their blocks).
+    let censor_span = rdx_metrics::span("censor");
+    let (pair_weights, cold_frac): (Vec<(u64, f64)>, f64) = match cfg.censoring {
+        CensoringCorrection::None => {
+            let resolved = profiler.completed.len() + profiler.end_censored.len();
+            let cold = if resolved == 0 {
+                0.0
+            } else {
+                profiler.end_censored.len() as f64 / resolved as f64
+            };
+            (
+                profiler
                     .completed
                     .iter()
-                    .map(|p| (p.reuse_time, km_evict.inverse_weight(p.reuse_time + 1)))
-                    .collect();
-                // Cold bucket: IPCW-corrected count of samples that were
-                // still armed (never reused) when the run ended — an
-                // unbiased estimate of the last-touch fraction m/n.
-                let cold_raw: f64 = profiler
-                    .end_censored
-                    .iter()
-                    .map(|&d| km_evict.inverse_weight(d))
-                    .sum();
-                let pair_raw: f64 = pairs.iter().map(|&(_, w)| w).sum();
-                let cold = if pair_raw + cold_raw > 0.0 {
-                    cold_raw / (pair_raw + cold_raw)
-                } else if reuse_obs.is_empty() {
-                    0.0
-                } else {
-                    1.0
-                };
-                (pairs, cold)
+                    .map(|p| (p.reuse_time, 1.0))
+                    .collect(),
+                cold,
+            )
+        }
+        CensoringCorrection::Ipcw => {
+            let mut evict_obs: Vec<Observation> = Vec::with_capacity(
+                profiler.completed.len() + profiler.evicted.len() + profiler.end_censored.len(),
+            );
+            let mut reuse_obs: Vec<Observation> = Vec::with_capacity(evict_obs.capacity());
+            for p in &profiler.completed {
+                let d = p.reuse_time + 1;
+                evict_obs.push(Observation {
+                    duration: d,
+                    evicted: false,
+                });
+                reuse_obs.push(Observation {
+                    duration: d,
+                    evicted: true, // a reuse-process *event*
+                });
             }
-        };
-        drop(censor_span);
-
-        // --- Scale the sampled distribution to the full run -----------
-        // Each access has exactly one reuse time (cold = infinite) and
-        // samples are uniform over accesses: the finite portion carries
-        // (1 − cold)·n total weight, the cold bucket m̂ = cold·n.
-        let m_estimate = cold_frac.clamp(0.0, 1.0) * n as f64;
-        let pair_total: f64 = pair_weights.iter().map(|&(_, w)| w).sum();
-        let scale = if pair_total > 0.0 {
-            (1.0 - cold_frac).max(0.0) * n as f64 / pair_total
-        } else {
-            0.0
-        };
-
-        // --- Time → distance conversion -------------------------------
-        // One pass over the pairs feeds both histograms: the footprint
-        // curve is built from a scaling iterator and each pair is scaled
-        // once, recorded into rt, converted, and recorded into rd — no
-        // intermediate scaled vector, no re-scan.
-        let convert_span = rdx_metrics::span("convert");
-        let fp = match cfg.conversion {
-            ConversionMethod::Footprint => Some(WeightedFootprint::from_sampled_iter(
-                n,
-                m_estimate,
-                pair_weights.iter().map(|&(t, w)| (t, w * scale)),
-            )),
-            ConversionMethod::TimeAsDistance => None,
-        };
-        let footprint_bytes = fp.as_ref().map_or(0, WeightedFootprint::memory_bytes);
-        let mut rt = RtHistogram::new(cfg.binning);
-        let mut rd = RdHistogram::new(cfg.binning);
-        for &(t, w) in &pair_weights {
-            let w = w * scale;
-            rt.record(ReuseTime::finite(t), w);
-            let d = match &fp {
-                Some(fp) => fp.distance_of(t),
-                None => ReuseDistance::finite(t),
+            for &d in &profiler.evicted {
+                evict_obs.push(Observation {
+                    duration: d,
+                    evicted: true,
+                });
+                reuse_obs.push(Observation {
+                    duration: d,
+                    evicted: false,
+                });
+            }
+            for &d in &profiler.end_censored {
+                evict_obs.push(Observation {
+                    duration: d,
+                    evicted: false,
+                });
+                reuse_obs.push(Observation {
+                    duration: d,
+                    evicted: false,
+                });
+            }
+            let km_evict = KaplanMeier::fit(&evict_obs);
+            let pairs: Vec<(u64, f64)> = profiler
+                .completed
+                .iter()
+                .map(|p| (p.reuse_time, km_evict.inverse_weight(p.reuse_time + 1)))
+                .collect();
+            // Cold bucket: IPCW-corrected count of samples that were
+            // still armed (never reused) when the run ended — an
+            // unbiased estimate of the last-touch fraction m/n.
+            let cold_raw: f64 = profiler
+                .end_censored
+                .iter()
+                .map(|&d| km_evict.inverse_weight(d))
+                .sum();
+            let pair_raw: f64 = pairs.iter().map(|&(_, w)| w).sum();
+            let cold = if pair_raw + cold_raw > 0.0 {
+                cold_raw / (pair_raw + cold_raw)
+            } else if reuse_obs.is_empty() {
+                0.0
+            } else {
+                1.0
             };
-            rd.record(d, w);
+            (pairs, cold)
         }
-        if m_estimate > 0.0 {
-            rt.record(ReuseTime::INFINITE, m_estimate);
-            rd.record(ReuseDistance::INFINITE, m_estimate);
-        }
-        drop(convert_span);
+    };
+    drop(censor_span);
 
-        let profiler_bytes = cfg.machine.cost.profiler_fixed_bytes
-            + profiler.memory_bytes() as u64
-            + rd.as_histogram().memory_bytes() as u64
-            + rt.as_histogram().memory_bytes() as u64
-            + footprint_bytes as u64;
+    // --- Scale the sampled distribution to the full run -----------
+    // Each access has exactly one reuse time (cold = infinite) and
+    // samples are uniform over accesses: the finite portion carries
+    // (1 − cold)·n total weight, the cold bucket m̂ = cold·n.
+    let m_estimate = cold_frac.clamp(0.0, 1.0) * n as f64;
+    let pair_total: f64 = pair_weights.iter().map(|&(_, w)| w).sum();
+    let scale = if pair_total > 0.0 {
+        (1.0 - cold_frac).max(0.0) * n as f64 / pair_total
+    } else {
+        0.0
+    };
 
-        RdxProfile {
-            rd,
-            rt,
-            granularity: cfg.granularity,
-            accesses: n,
-            samples: report.ledger.samples,
-            traps: report.ledger.traps,
-            evictions: profiler.evicted.len() as u64,
-            end_censored: profiler.end_censored.len() as u64,
-            dropped_samples: profiler.dropped_samples,
-            duplicate_samples: profiler.duplicate_samples,
+    // --- Time → distance conversion -------------------------------
+    // One pass over the pairs feeds both histograms: the footprint
+    // curve is built from a scaling iterator and each pair is scaled
+    // once, recorded into rt, converted, and recorded into rd — no
+    // intermediate scaled vector, no re-scan.
+    let convert_span = rdx_metrics::span("convert");
+    let fp = match cfg.conversion {
+        ConversionMethod::Footprint => Some(WeightedFootprint::from_sampled_iter(
+            n,
             m_estimate,
-            time_overhead: report.time_overhead(),
-            profiler_bytes,
-            cost: cfg.machine.cost,
-        }
+            pair_weights.iter().map(|&(t, w)| (t, w * scale)),
+        )),
+        ConversionMethod::TimeAsDistance => None,
+    };
+    let footprint_bytes = fp.as_ref().map_or(0, WeightedFootprint::memory_bytes);
+    let mut rt = RtHistogram::new(cfg.binning);
+    let mut rd = RdHistogram::new(cfg.binning);
+    for &(t, w) in &pair_weights {
+        let w = w * scale;
+        rt.record(ReuseTime::finite(t), w);
+        let d = match &fp {
+            Some(fp) => fp.distance_of(t),
+            None => ReuseDistance::finite(t),
+        };
+        rd.record(d, w);
+    }
+    if m_estimate > 0.0 {
+        rt.record(ReuseTime::INFINITE, m_estimate);
+        rd.record(ReuseDistance::INFINITE, m_estimate);
+    }
+    drop(convert_span);
+
+    let profiler_bytes = cfg.machine.cost.profiler_fixed_bytes
+        + profiler.memory_bytes() as u64
+        + rd.as_histogram().memory_bytes() as u64
+        + rt.as_histogram().memory_bytes() as u64
+        + footprint_bytes as u64;
+
+    RdxProfile {
+        rd,
+        rt,
+        granularity: cfg.granularity,
+        accesses: n,
+        samples: report.ledger.samples,
+        traps: report.ledger.traps,
+        evictions: profiler.evicted.len() as u64,
+        end_censored: profiler.end_censored.len() as u64,
+        dropped_samples: profiler.dropped_samples,
+        duplicate_samples: profiler.duplicate_samples,
+        m_estimate,
+        time_overhead: report.time_overhead(),
+        profiler_bytes,
+        cost: cfg.machine.cost,
     }
 }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rdx_core::km::{KaplanMeier, Observation};
-use rdx_core::{RdxConfig, RdxRunner};
+use rdx_core::{RdxConfig, RdxRun, RdxRunner, ReplacementPolicy};
 use rdx_trace::Trace;
 
 proptest! {
@@ -32,6 +32,44 @@ proptest! {
         prop_assert!(profile.m_estimate >= 0.0 && profile.m_estimate <= n + 1e-9);
         prop_assert!(profile.time_overhead >= 0.0);
         prop_assert!(profile.profiler_bytes > 0);
+    }
+
+    /// A run fed in pieces snapshots, after every piece, exactly the
+    /// profile of the prefix fed so far — every field, memory
+    /// accounting included — and finishes to the profile of the whole.
+    #[test]
+    fn snapshots_equal_prefix_profiles(
+        addrs in prop::collection::vec(0u64..512, 1..4000),
+        cuts in prop::collection::vec(any::<u64>(), 0..6),
+        period in 20u64..300,
+        evict_random in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let trace = Trace::from_addresses("s", addrs.iter().map(|a| a * 8));
+        let policy = if evict_random {
+            ReplacementPolicy::EvictRandom
+        } else {
+            ReplacementPolicy::EvictOldest
+        };
+        let config = RdxConfig::default()
+            .with_period(period)
+            .with_seed(seed)
+            .with_replacement(policy);
+        let runner = RdxRunner::new(config);
+        let mut points: Vec<usize> = cuts
+            .iter()
+            .map(|&c| (c % (trace.len() as u64 + 1)) as usize)
+            .collect();
+        points.sort_unstable();
+        points.push(trace.len());
+        let mut run = RdxRun::new(&config);
+        let mut at = 0;
+        for &to in &points {
+            run.feed(&trace.accesses()[at..to]);
+            at = to;
+            prop_assert_eq!(run.snapshot(), runner.profile(&trace.accesses()[..to]));
+        }
+        prop_assert_eq!(run.finish(), runner.profile(trace.stream()));
     }
 
     /// Kaplan–Meier survival is in [0,1], non-increasing, and IPCW weights

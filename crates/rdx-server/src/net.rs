@@ -75,7 +75,7 @@ impl AnyListener {
 
     pub(crate) fn accept(&self) -> io::Result<AnyStream> {
         match self {
-            AnyListener::Tcp(l) => l.accept().map(|(s, _)| AnyStream::Tcp(s)),
+            AnyListener::Tcp(l) => l.accept().and_then(|(s, _)| AnyStream::tcp(s)),
             #[cfg(unix)]
             AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
         }
@@ -91,9 +91,17 @@ pub(crate) enum AnyStream {
 }
 
 impl AnyStream {
+    /// Frames are small requests each awaiting a reply (a chunk, then a
+    /// snapshot of it), so Nagle's algorithm would hold every second
+    /// write for the peer's delayed ACK: send segments at once.
+    fn tcp(s: TcpStream) -> io::Result<AnyStream> {
+        s.set_nodelay(true)?;
+        Ok(AnyStream::Tcp(s))
+    }
+
     pub(crate) fn connect(listen: &Listen) -> io::Result<AnyStream> {
         match listen {
-            Listen::Tcp(addr) => TcpStream::connect(addr.as_str()).map(AnyStream::Tcp),
+            Listen::Tcp(addr) => TcpStream::connect(addr.as_str()).and_then(AnyStream::tcp),
             #[cfg(unix)]
             Listen::Unix(path) => UnixStream::connect(path).map(AnyStream::Unix),
         }

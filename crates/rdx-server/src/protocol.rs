@@ -48,6 +48,13 @@ const T_ERROR: u8 = 0xEE;
 ///
 /// Mirrors the CLI's profiling flags; the server validates them with
 /// the same [`rdx_core::limits`] checks the CLI uses at parse time.
+/// `pipelined` and `decode_ahead` are still validated for wire
+/// compatibility, but server sessions decode inline as chunks arrive:
+/// they describe only the local ingest path ([`ingest`]) that clients
+/// crosscheck against. Removing them belongs with the pipelined-decode
+/// deletion.
+///
+/// [`ingest`]: SessionOptions::ingest
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Mean PMU sampling period in accesses (≥ 1).
@@ -56,11 +63,16 @@ pub struct SessionOptions {
     pub registers: u32,
     /// Machine RNG seed.
     pub seed: u64,
-    /// Decode on a dedicated thread (decode-ahead) when profiling.
+    /// Decode on a dedicated thread (decode-ahead) when profiling
+    /// locally ([`ingest`](SessionOptions::ingest)). Server sessions
+    /// decode inline as chunks arrive and ignore it; it is still
+    /// validated, for wire compatibility.
     pub pipelined: bool,
-    /// Accesses per decoded chunk (≥ 1).
+    /// Accesses per decoded chunk (≥ 1): a server session's decode
+    /// buffer holds at most this many accesses.
     pub chunk_capacity: u64,
-    /// Decode-ahead ring depth (≥ 2).
+    /// Decode-ahead ring depth (≥ 2). Like `pipelined`, validated for
+    /// wire compatibility but unused by server sessions.
     pub decode_ahead: u64,
 }
 
@@ -129,7 +141,7 @@ pub enum ErrorCode {
     InvalidOptions = 4,
     /// The session's trace byte stream is malformed (RDXT-level).
     MalformedTrace = 5,
-    /// The session exceeded its buffered-bytes budget.
+    /// The session exceeded its received-bytes budget.
     Overflow = 6,
     /// The request cannot be answered yet (e.g. snapshot before a
     /// complete trace header has arrived).
@@ -389,7 +401,7 @@ pub enum ClientMessage {
     },
     /// Opens a profiling session.
     OpenSession {
-        /// Display name; also the fallback trace label.
+        /// Display name (the profile does not depend on it).
         name: String,
         /// Profiling and decode options.
         opts: SessionOptions,
@@ -569,9 +581,9 @@ pub enum ServerMessage {
     Flushed {
         /// The session.
         session: u32,
-        /// Trace bytes buffered so far.
+        /// Trace bytes received so far.
         received_bytes: u64,
-        /// Complete records scanned so far.
+        /// Records decoded so far (at most the declared count).
         records: u64,
     },
     /// A live profile over the bytes received so far.
@@ -585,9 +597,9 @@ pub enum ServerMessage {
     Metrics {
         /// The session.
         session: u32,
-        /// Trace bytes buffered so far.
+        /// Trace bytes received so far.
         received_bytes: u64,
-        /// Complete records scanned so far.
+        /// Records decoded so far (at most the declared count).
         records: u64,
         /// `rdx_metrics::snapshot().to_json()` of the server process.
         registry_json: String,

@@ -1,15 +1,18 @@
 //! Per-session worker: owns one RDXT byte stream and answers profile
 //! questions about it.
 //!
-//! A session accumulates the exact bytes the client sent (bounded by
-//! the server's per-session budget) and validates them eagerly — the
-//! header through [`TraceReader::new`] as soon as enough bytes arrive,
-//! the record stream incrementally through [`RecordScanner`] — so a
-//! malformed stream is reported at the offending chunk, not at close.
-//! Snapshot and close answers re-profile the accumulated bytes through
-//! the exact same `RdxtInput` → `profile_rdxt` machinery the local
-//! file-backed path uses, which is what makes server-side profiles
-//! bit-identical to local ones.
+//! A session decodes and profiles every byte exactly once, when it
+//! arrives: a [`PushDecoder`] validates the header as soon as it is
+//! complete and decodes each chunk's records on the spot (so a
+//! malformed stream is reported at the offending chunk, not at close),
+//! and the decoded accesses go straight into one resumable [`RdxRun`].
+//! No received bytes are kept: session state is the decoder's split
+//! record, one decode buffer, and the run — whose size grows with the
+//! samples taken, not with the trace. A snapshot finishes a copy of the
+//! run; close finishes the run itself. Both are bit-identical to the
+//! local `RdxtInput` → `profile_rdxt` path over the same bytes, and the
+//! clean-close verdict is the decoder's, which matches the local one
+//! (truncated, trailing-data and malformed streams are all unclean).
 //!
 //! The state machine itself ([`SessionState::handle`]) is a pure
 //! command-in/frames-out step function with no threads or clocks in
@@ -23,14 +26,9 @@
 
 use crate::protocol::{ErrorCode, ProfileSnapshot, ServerMessage, SessionOptions};
 use bytes::Bytes;
-use rdx_core::{RdxRunner, RdxtInput};
-use rdx_trace::io::RecordScanner;
-use rdx_trace::{TraceError, TraceReader};
+use rdx_core::RdxRun;
+use rdx_trace::{Access, PushDecoder, TraceError};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-
-/// Fixed-width part of the RDXT header: magic, version, name length,
-/// record count. The full header is this plus the name bytes.
-const HEADER_FIXED: usize = 4 + 4 + 4 + 8;
 
 /// Commands the connection reader forwards to a session worker.
 #[derive(Debug)]
@@ -39,10 +37,11 @@ pub enum SessionCmd {
     Chunk(Bytes),
     /// Acknowledge ingestion of everything sent so far.
     Flush,
-    /// Profile the bytes so far and reply with histograms.
+    /// Reply with the profile of the bytes so far (a finished copy of
+    /// the live run).
     SnapshotHistogram,
-    /// Profile the bytes so far and hand the snapshot back through the
-    /// given channel — to the connection thread for fleet aggregation,
+    /// Hand the profile of the bytes so far back through the given
+    /// channel — to the connection thread for fleet aggregation,
     /// not to the client. Failures travel as the session's error class
     /// so the connection can report which session broke the aggregate.
     Aggregate(SyncSender<Result<ProfileSnapshot, ErrorCode>>),
@@ -55,38 +54,32 @@ pub enum SessionCmd {
 /// One session's identity and reply plumbing.
 pub(crate) struct SessionWorker {
     pub(crate) id: u32,
-    pub(crate) name: String,
     pub(crate) opts: SessionOptions,
     /// Encoded reply frames, towards the connection's writer thread.
     pub(crate) out: SyncSender<Bytes>,
-    /// Per-session byte budget; exceeding it fails the session.
+    /// Per-session budget of received bytes; exceeding it fails the
+    /// session.
     pub(crate) max_bytes: usize,
-}
-
-/// Incremental validation state of the byte stream.
-enum Scan {
-    /// Header not yet complete.
-    AwaitingHeader,
-    /// Header parsed (records start at `header_end`); scanning records.
-    Records {
-        header_end: usize,
-        scanner: RecordScanner,
-    },
 }
 
 /// The session's mutable state, advanced one command per
 /// [`handle`](SessionState::handle) call.
 struct SessionState {
-    buf: Vec<u8>,
-    scan: Scan,
+    /// Bytes received so far (all of them, decoded or not).
+    received: u64,
+    decoder: PushDecoder,
+    /// The live profile; `None` once `Close` finished it.
+    run: Option<RdxRun>,
     failure: Option<ErrorCode>,
 }
 
 impl SessionState {
-    fn new() -> Self {
+    fn new(opts: &SessionOptions) -> Self {
+        let capacity = usize::try_from(opts.chunk_capacity).unwrap_or(usize::MAX);
         SessionState {
-            buf: Vec::new(),
-            scan: Scan::AwaitingHeader,
+            received: 0,
+            decoder: PushDecoder::new().with_chunk_capacity(capacity),
+            run: Some(RdxRun::new(&opts.config())),
             failure: None,
         }
     }
@@ -102,7 +95,6 @@ impl SessionState {
                 }
                 if let Err(code) = self.ingest(w, &bytes) {
                     self.failure = Some(code);
-                    self.buf = Vec::new();
                 }
                 true
             }
@@ -112,8 +104,8 @@ impl SessionState {
                 } else {
                     w.send(&ServerMessage::Flushed {
                         session: w.id,
-                        received_bytes: self.buf.len() as u64,
-                        records: records_so_far(&self.scan),
+                        received_bytes: self.received,
+                        records: self.decoder.decoded(),
                     });
                 }
                 true
@@ -122,8 +114,8 @@ impl SessionState {
                 if let Some(code) = self.failure {
                     w.send_failed(code);
                 } else {
-                    match self.profile(w) {
-                        Some((profile, _clean)) => {
+                    match self.snapshot() {
+                        Some(profile) => {
                             rdx_metrics::counter("rdx.server.snapshots").incr();
                             w.send(&ServerMessage::Histogram {
                                 session: w.id,
@@ -139,13 +131,9 @@ impl SessionState {
                 true
             }
             SessionCmd::Aggregate(reply) => {
-                let result = if let Some(code) = self.failure {
-                    Err(code)
-                } else {
-                    match self.profile(w) {
-                        Some((profile, _clean)) => Ok(profile),
-                        None => Err(ErrorCode::NotReady),
-                    }
+                let result = match self.failure {
+                    Some(code) => Err(code),
+                    None => self.snapshot().ok_or(ErrorCode::NotReady),
                 };
                 // A send error means the connection thread stopped
                 // waiting (it aborted the aggregate); nothing to do.
@@ -158,21 +146,17 @@ impl SessionState {
                 } else {
                     w.send(&ServerMessage::Metrics {
                         session: w.id,
-                        received_bytes: self.buf.len() as u64,
-                        records: records_so_far(&self.scan),
+                        received_bytes: self.received,
+                        records: self.decoder.decoded(),
                         registry_json: rdx_metrics::snapshot().to_json(),
                     });
                 }
                 true
             }
             SessionCmd::Close => {
-                let (clean, profile) = if self.failure.is_some() {
-                    (false, ProfileSnapshot::default())
-                } else {
-                    match self.profile(w) {
-                        Some((profile, clean)) => (clean, profile),
-                        None => (false, ProfileSnapshot::default()),
-                    }
+                let (clean, profile) = match self.close() {
+                    Some(profile) => (self.decoder.finish().is_ok(), profile),
+                    None => (false, ProfileSnapshot::default()),
                 };
                 w.send(&ServerMessage::SessionClosed {
                     session: w.id,
@@ -184,79 +168,61 @@ impl SessionState {
         }
     }
 
-    /// Appends a chunk, keeping header/record validation current.
-    /// Returns the failure class on budget overflow or corruption (the
-    /// error frame is sent here, with the trace-level detail).
+    /// Decodes a chunk and feeds its accesses to the run. Returns the
+    /// failure class on budget overflow or corruption (the error frame
+    /// is sent here, with the trace-level detail).
     fn ingest(&mut self, w: &SessionWorker, bytes: &[u8]) -> Result<(), ErrorCode> {
-        let buf = &mut self.buf;
-        if buf.len().saturating_add(bytes.len()) > w.max_bytes {
+        let received = self.received.saturating_add(bytes.len() as u64);
+        if received > w.max_bytes as u64 {
             w.send_error(
                 ErrorCode::Overflow,
-                &format!("session exceeds {} buffered bytes", w.max_bytes),
+                &format!("session exceeds {} received bytes", w.max_bytes),
             );
             return Err(ErrorCode::Overflow);
         }
+        self.received = received;
         rdx_metrics::counter("rdx.server.chunk_bytes").add(bytes.len() as u64);
-        let scanned_to = buf.len();
-        buf.extend_from_slice(bytes);
-        if let Scan::AwaitingHeader = self.scan {
-            if buf.len() < HEADER_FIXED {
-                return Ok(()); // not even a fixed header yet
-            }
-            match TraceReader::new(Bytes::from(buf.clone())) {
-                Ok(reader) => {
-                    let header_end = HEADER_FIXED + reader.name().len();
-                    let mut scanner = RecordScanner::new();
-                    if let Err(e) = scanner.scan(&buf[header_end..]) {
-                        w.send_trace_error(&e);
-                        return Err(ErrorCode::MalformedTrace);
-                    }
-                    self.scan = Scan::Records {
-                        header_end,
-                        scanner,
-                    };
-                }
-                // A short name field just needs more bytes.
-                Err(TraceError::Truncated) => {}
-                Err(e) => {
-                    w.send_trace_error(&e);
-                    return Err(ErrorCode::MalformedTrace);
-                }
-            }
+        let Some(run) = self.run.as_mut() else {
             return Ok(());
-        }
-        if let Scan::Records {
-            header_end,
-            scanner,
-        } = &mut self.scan
-        {
-            let from = scanned_to.max(*header_end);
-            if let Err(e) = scanner.scan(&buf[from..]) {
-                w.send_trace_error(&e);
-                return Err(ErrorCode::MalformedTrace);
-            }
+        };
+        // The span times profiling only, as on the offline path.
+        let feed = |accesses: &[Access]| {
+            let _profile_span = rdx_metrics::span("rdx.profile");
+            run.feed(accesses);
+        };
+        if let Err(e) = self.decoder.push(bytes, feed) {
+            w.send_trace_error(&e);
+            return Err(ErrorCode::MalformedTrace);
         }
         Ok(())
     }
 
-    /// Profiles the accumulated bytes through the local file-backed
-    /// machinery. `None` until a complete header has arrived. The bool
-    /// is the clean-decode verdict (all declared records, no trailing
-    /// data, no corruption).
-    fn profile(&self, w: &SessionWorker) -> Option<(ProfileSnapshot, bool)> {
-        if let Scan::AwaitingHeader = self.scan {
+    /// The profile of the bytes so far; `None` until a complete header
+    /// has arrived.
+    fn snapshot(&self) -> Option<ProfileSnapshot> {
+        if !self.decoder.has_header() {
             return None;
         }
-        let input = RdxtInput::from_bytes(w.name.clone(), Bytes::from(self.buf.clone())).ok()?;
-        let runner = RdxRunner::new(w.opts.config());
-        let (profile, verdict) = runner.profile_rdxt(input, &w.opts.ingest());
-        Some((ProfileSnapshot::from_profile(&profile), verdict.is_ok()))
+        let run = self.run.as_ref()?;
+        let _profile_span = rdx_metrics::span("rdx.profile");
+        Some(ProfileSnapshot::from_profile(&run.snapshot()))
+    }
+
+    /// Finishes the run (once): `None` after a failure or before a
+    /// complete header.
+    fn close(&mut self) -> Option<ProfileSnapshot> {
+        if self.failure.is_some() || !self.decoder.has_header() {
+            return None;
+        }
+        let run = self.run.take()?;
+        let _profile_span = rdx_metrics::span("rdx.profile");
+        Some(ProfileSnapshot::from_profile(&run.finish()))
     }
 }
 
 impl SessionWorker {
     pub(crate) fn run(self, rx: &Receiver<SessionCmd>) {
-        let mut state = SessionState::new();
+        let mut state = SessionState::new(&self.opts);
         while let Ok(cmd) = rx.recv() {
             if !state.handle(&self, cmd) {
                 break;
@@ -294,13 +260,6 @@ impl SessionWorker {
     }
 }
 
-fn records_so_far(scan: &Scan) -> u64 {
-    match scan {
-        Scan::AwaitingHeader => 0,
-        Scan::Records { scanner, .. } => scanner.records(),
-    }
-}
-
 /// What one [`SessionStepper::step`] produced.
 #[derive(Debug)]
 pub enum SessionEvent {
@@ -329,23 +288,23 @@ pub struct SessionStepper {
 impl SessionStepper {
     /// A stepper for one session. `opts` should already be validated
     /// (see [`SessionOptions::validate`]); `max_bytes` is the session's
-    /// buffered-bytes budget.
+    /// received-bytes budget.
     #[must_use]
-    pub fn new(id: u32, name: impl Into<String>, opts: SessionOptions, max_bytes: usize) -> Self {
+    pub fn new(id: u32, opts: SessionOptions, max_bytes: usize) -> Self {
         // One command emits at most one reply frame and every step
         // drains the queue, so capacity 4 makes sends non-blocking:
         // a single-threaded stepper can never deadlock on its own
         // output.
         let (out, rx) = sync_channel::<Bytes>(4);
+        let state = SessionState::new(&opts);
         SessionStepper {
             worker: SessionWorker {
                 id,
-                name: name.into(),
                 opts,
                 out,
                 max_bytes,
             },
-            state: SessionState::new(),
+            state,
             rx,
             closed: false,
         }
@@ -382,16 +341,17 @@ impl SessionStepper {
         self.closed
     }
 
-    /// Bytes buffered so far (zero after a failure cleared the buffer).
+    /// Bytes received so far (a chunk refused by the budget does not
+    /// count).
     #[must_use]
     pub fn received_bytes(&self) -> u64 {
-        self.state.buf.len() as u64
+        self.state.received
     }
 
-    /// Complete records validated so far.
+    /// Records decoded so far.
     #[must_use]
     pub fn records(&self) -> u64 {
-        records_so_far(&self.state.scan)
+        self.state.decoder.decoded()
     }
 
     /// The sticky failure class, if the session has failed.

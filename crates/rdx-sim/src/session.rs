@@ -11,8 +11,10 @@
 //! Invariants across all schedules:
 //!
 //! * clean streams: no error reply ever, every `Flushed` echoes the
-//!   byte count so far, and `Close` reports `clean = true` with the
-//!   full declared record count validated;
+//!   byte count so far, every snapshot the schedule takes equals the
+//!   offline `profile_rdxt` of the bytes sent so far, and `Close`
+//!   reports `clean = true` with the full declared record count
+//!   decoded;
 //! * corrupt streams: the first error reply is `MalformedTrace`,
 //!   arrives with the chunk containing the corruption, and every later
 //!   command's reply carries the same sticky failure class;
@@ -24,8 +26,11 @@ use crate::fault;
 use crate::sched::{pick_shared, SharedPicker};
 use crate::{shared, SeededPicker, SplitMix64, Violation};
 use bytes::Bytes;
+use rdx_core::{RdxRunner, RdxtInput};
 use rdx_server::protocol::ServerMessage;
-use rdx_server::{ErrorCode, SessionCmd, SessionEvent, SessionOptions, SessionStepper};
+use rdx_server::{
+    ErrorCode, ProfileSnapshot, SessionCmd, SessionEvent, SessionOptions, SessionStepper,
+};
 use rdx_trace::{io, Trace};
 
 /// Per-session byte budget for sim sessions — far above any scenario's
@@ -66,6 +71,14 @@ fn error_replies(events: &[SessionEvent]) -> Vec<ErrorCode> {
         .collect()
 }
 
+/// The offline profile of a stream prefix, as a snapshot reply would
+/// carry it: `None` while the prefix holds no complete header.
+fn offline_snapshot(opts: &SessionOptions, prefix: &[u8]) -> Option<ProfileSnapshot> {
+    let input = RdxtInput::from_bytes("sim", prefix.to_vec()).ok()?;
+    let (profile, _) = RdxRunner::new(opts.config()).profile_rdxt(input, &opts.ingest());
+    Some(ProfileSnapshot::from_profile(&profile))
+}
+
 /// Clean-stream invariant under one seeded schedule.
 ///
 /// # Errors
@@ -75,7 +88,13 @@ pub fn run_clean_seeded(seed: u64) -> Result<(), Violation> {
     let mut rng = SplitMix64::new(seed ^ 0x5e55_0000_0000_0003);
     let (bytes, declared) = session_trace(&mut rng);
     let picker = shared(SeededPicker::new(seed));
-    let mut stepper = SessionStepper::new(1, "sim", SessionOptions::default(), MAX_BYTES);
+    // A short period, so the sim's short traces take samples and the
+    // snapshots below have something to disagree about.
+    let opts = SessionOptions {
+        period: 16,
+        ..SessionOptions::default()
+    };
+    let mut stepper = SessionStepper::new(1, opts, MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
     let mut sent = 0u64;
@@ -103,8 +122,29 @@ pub fn run_clean_seeded(seed: u64) -> Result<(), Violation> {
                 }
             }
         }
+        // Likewise a snapshot: it must equal the offline profile of
+        // exactly the bytes sent so far (NotReady before the header).
+        if pick_shared(&picker, 2) == 0 {
+            let events = stepper.step(SessionCmd::SnapshotHistogram);
+            let want = offline_snapshot(&opts, &bytes[..sent as usize]);
+            match (events.first(), &want) {
+                (Some(SessionEvent::Reply(ServerMessage::Histogram { profile, .. })), Some(w))
+                    if profile == w => {}
+                (Some(SessionEvent::Reply(ServerMessage::Error { code, .. })), None)
+                    if *code == ErrorCode::NotReady => {}
+                (other, _) => {
+                    return fail(
+                        "session-snapshot-prefix",
+                        format!(
+                            "after {sent} bytes, SnapshotHistogram answered {other:?}, \
+                             offline prefix profile {want:?}"
+                        ),
+                    );
+                }
+            }
+        }
     }
-    // All bytes in: the validator must have seen every declared record.
+    // All bytes in: the decoder must have seen every declared record.
     let events = stepper.step(SessionCmd::Flush);
     match events.first() {
         Some(SessionEvent::Reply(ServerMessage::Flushed { records, .. }))
@@ -145,7 +185,7 @@ pub fn run_corrupt_seeded(seed: u64) -> Result<(), Violation> {
     let (clean_bytes, _) = session_trace(&mut rng);
     let bytes = fault::overlong_varint(&clean_bytes);
     let picker = shared(SeededPicker::new(seed));
-    let mut stepper = SessionStepper::new(1, "sim", SessionOptions::default(), MAX_BYTES);
+    let mut stepper = SessionStepper::new(1, SessionOptions::default(), MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
     let mut first_error: Option<ErrorCode> = None;
@@ -205,7 +245,7 @@ pub fn run_disorder_seeded(seed: u64) -> Result<(), Violation> {
     let mut rng = SplitMix64::new(seed ^ 0xd150_0000_0000_0005);
     let (bytes, _) = session_trace(&mut rng);
     let picker = shared(SeededPicker::new(seed));
-    let mut stepper = SessionStepper::new(1, "sim", SessionOptions::default(), MAX_BYTES);
+    let mut stepper = SessionStepper::new(1, SessionOptions::default(), MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
     // A histogram snapshot before any bytes: NotReady, not a crash and

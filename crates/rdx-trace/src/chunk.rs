@@ -316,7 +316,7 @@ mod tests {
         let t = Trace::from_addresses("p", (0..100u64).map(|i| i * 8));
         let mut s = Chunked::with_capacity(t.stream(), 7);
         assert!(s.chunk_capable());
-        // Pass-through: the inner TraceStream serves its whole remainder,
+        // Pass-through: the inner slice stream serves its whole remainder,
         // ignoring the adapter capacity.
         let len = s.next_chunk().expect("chunk").len();
         assert_eq!(len, 100);

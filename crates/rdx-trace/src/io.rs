@@ -244,6 +244,41 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
     buf.freeze()
 }
 
+/// Fixed-width part of the RDXT header: magic, version, name length,
+/// record count. The full header is this plus the name bytes.
+const HEADER_FIXED: usize = 4 + 4 + 4 + 8;
+
+/// Parses the RDXT header at the front of `buf`, advancing past it, and
+/// returns the embedded name and the declared record count.
+fn parse_header(buf: &mut Bytes) -> Result<(String, u64), TraceError> {
+    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
+        return Err(TraceError::BadMagic);
+    }
+    if buf.remaining() < 4 {
+        return Err(TraceError::Truncated);
+    }
+    let version = buf.get_u32_le();
+    if version != VERSION {
+        return Err(TraceError::BadVersion(version));
+    }
+    if buf.remaining() < 4 {
+        return Err(TraceError::Truncated);
+    }
+    let name_len = buf.get_u32_le() as usize;
+    if name_len > MAX_NAME_LEN {
+        return Err(TraceError::Malformed);
+    }
+    if buf.remaining() < name_len {
+        return Err(TraceError::Truncated);
+    }
+    let name =
+        String::from_utf8(buf.copy_to_bytes(name_len).to_vec()).map_err(|_| TraceError::BadName)?;
+    if buf.remaining() < 8 {
+        return Err(TraceError::Truncated);
+    }
+    Ok((name, buf.get_u64_le()))
+}
+
 /// Incremental decoder of the `RDXT` format that yields accesses as an
 /// [`AccessStream`], so a trace file can feed the profiler without ever
 /// being materialized as a [`Trace`].
@@ -282,32 +317,7 @@ impl TraceReader {
     pub fn new(bytes: impl Into<Bytes>) -> Result<TraceReader, TraceError> {
         let mut buf: Bytes = bytes.into();
         let total_len = buf.remaining();
-        if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        if buf.remaining() < 4 {
-            return Err(TraceError::Truncated);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(TraceError::BadVersion(version));
-        }
-        if buf.remaining() < 4 {
-            return Err(TraceError::Truncated);
-        }
-        let name_len = buf.get_u32_le() as usize;
-        if name_len > MAX_NAME_LEN {
-            return Err(TraceError::Malformed);
-        }
-        if buf.remaining() < name_len {
-            return Err(TraceError::Truncated);
-        }
-        let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
-            .map_err(|_| TraceError::BadName)?;
-        if buf.remaining() < 8 {
-            return Err(TraceError::Truncated);
-        }
-        let declared = buf.get_u64_le();
+        let (name, declared) = parse_header(&mut buf)?;
         rdx_metrics::counter("rdx.trace.decode.bytes").add((total_len - buf.remaining()) as u64);
         rdx_metrics::counter("rdx.trace.decode.kernel").incr();
         Ok(TraceReader {
@@ -627,69 +637,262 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
     from_bytes(data)
 }
 
-/// Incremental validator of a varint record stream that arrives in
-/// arbitrary byte fragments (a long-lived ingestion session receiving
-/// framed chunks cannot hold complete records per fragment).
+/// Fresh bytes that always settle a record split across fragments: a
+/// canonical 128-bit varint ends within 19 bytes, and byte 20 of a
+/// longer one always overflows the payload ([`TraceError::Malformed`]).
+const RECORD_WINDOW: usize = 20;
+
+/// Push-mode decoder of the `RDXT` format: the bytes of one trace arrive
+/// in arbitrary fragments (a server session receiving framed chunks),
+/// and each fragment is decoded the moment it arrives.
 ///
-/// The scanner applies the exact canonical-form rule of the decoders —
-/// a continuation byte whose significant bits overflow the 128-bit
-/// payload is [`TraceError::Malformed`] — without materializing values,
-/// so corrupt input is rejected the moment it arrives instead of at the
-/// first full decode. A fragment may end mid-record
-/// ([`mid_record`](RecordScanner::mid_record)); the partial state
-/// carries over to the next [`scan`](RecordScanner::scan) call.
-#[derive(Debug, Default)]
-pub struct RecordScanner {
-    shift: u32,
-    records: u64,
-    malformed: bool,
+/// The decoder keeps only what spans fragments: header bytes until the
+/// header parses, then the delta-chain state (`prev`), the decoded
+/// record count, and the unconsumed bytes of one record split across
+/// fragments. Records decode through the same kernels as
+/// [`TraceReader::decode_chunk`] into one reused buffer of at most
+/// `chunk_capacity` accesses, handed to the caller's sink; decoding
+/// stops at the declared record count, and later bytes only count as
+/// trailing data. An overlong varint fails the push that carries its
+/// offending byte, and the decoder stays fused on that error.
+///
+/// The verdict ([`finish`](PushDecoder::finish)) is the one a
+/// [`TraceReader`] over the concatenated bytes reaches: `Truncated`
+/// short of the declared count, `TrailingData` past it.
+#[derive(Debug)]
+pub struct PushDecoder {
+    /// Header bytes gathered so far; emptied once the header parses.
+    head: Vec<u8>,
+    /// Declared record count, once the header parsed.
+    declared: Option<u64>,
+    decoded: u64,
+    prev: u64,
+    /// The leading bytes of a record the last fragment cut short.
+    tail: Vec<u8>,
+    /// Bytes received past the declared record count.
+    trailing: usize,
+    error: Option<TraceError>,
+    out: Vec<Access>,
+    chunk_capacity: usize,
+    kernel: KernelKind,
 }
 
-impl RecordScanner {
-    /// A scanner positioned at a record boundary.
+impl Default for PushDecoder {
+    fn default() -> Self {
+        PushDecoder::new()
+    }
+}
+
+impl PushDecoder {
+    /// A decoder awaiting the first header byte.
     #[must_use]
-    pub fn new() -> RecordScanner {
-        RecordScanner::default()
+    pub fn new() -> PushDecoder {
+        PushDecoder {
+            head: Vec::new(),
+            declared: None,
+            decoded: 0,
+            prev: 0,
+            tail: Vec::new(),
+            trailing: 0,
+            error: None,
+            out: Vec::new(),
+            chunk_capacity: DEFAULT_CHUNK_CAPACITY,
+            kernel: kernels::resolve_decode(KernelChoice::Auto),
+        }
     }
 
-    /// Scans one more fragment of the record stream.
-    ///
-    /// The scanner is fused: after a malformed byte every further call
-    /// keeps failing.
+    /// Sets the most accesses handed to the sink at once (≥ 1; default
+    /// [`DEFAULT_CHUNK_CAPACITY`]), which bounds the decode buffer.
+    #[must_use]
+    pub fn with_chunk_capacity(mut self, capacity: usize) -> Self {
+        self.chunk_capacity = capacity.max(1);
+        self
+    }
+
+    /// Whether the header is complete.
+    #[must_use]
+    pub fn has_header(&self) -> bool {
+        self.declared.is_some()
+    }
+
+    /// Records decoded and handed to the sink so far.
+    #[must_use]
+    pub fn decoded(&self) -> u64 {
+        self.decoded
+    }
+
+    /// Decodes one more fragment, passing the decoded accesses to `sink`
+    /// in order, in runs of at most `chunk_capacity`.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Malformed`] at the first overlong encoding.
-    pub fn scan(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
-        if self.malformed {
-            return Err(TraceError::Malformed);
+    /// The header's [`TraceError`] once enough bytes arrived to see it
+    /// is wrong, or [`TraceError::Malformed`] at an overlong varint (the
+    /// records before it are still delivered). The decoder is fused:
+    /// every later push repeats the error.
+    pub fn push(
+        &mut self,
+        bytes: &[u8],
+        mut sink: impl FnMut(&[Access]),
+    ) -> Result<(), TraceError> {
+        if let Some(e) = &self.error {
+            return Err(dup_push_error(e));
         }
-        for &byte in bytes {
-            let sig = u128::from(byte & 0x7f);
-            if varint_bits_overflow(sig, self.shift) {
-                self.malformed = true;
-                return Err(TraceError::Malformed);
+        let result = match self.declared {
+            Some(declared) => self.decode_records(bytes, declared, &mut sink),
+            None => self.push_header(bytes, &mut sink),
+        };
+        if let Err(e) = &result {
+            self.error = Some(dup_push_error(e));
+        }
+        result
+    }
+
+    /// Gathers header bytes; once the header parses, decodes the record
+    /// bytes that arrived with it.
+    fn push_header(
+        &mut self,
+        bytes: &[u8],
+        sink: &mut impl FnMut(&[Access]),
+    ) -> Result<(), TraceError> {
+        // A header is at most HEADER_FIXED + MAX_NAME_LEN bytes, so the
+        // gathered prefix never needs to grow past that.
+        let room = (HEADER_FIXED + MAX_NAME_LEN).saturating_sub(self.head.len());
+        let (now, later) = bytes.split_at(room.min(bytes.len()));
+        self.head.extend_from_slice(now);
+        if self.head.len() < HEADER_FIXED {
+            return Ok(()); // not even the fixed fields yet
+        }
+        let mut buf = Bytes::from(&self.head[..]);
+        match parse_header(&mut buf) {
+            Ok((_, declared)) => {
+                let head = std::mem::take(&mut self.head);
+                let header_len = head.len() - buf.remaining();
+                rdx_metrics::counter("rdx.trace.decode.bytes").add(header_len as u64);
+                rdx_metrics::counter("rdx.trace.decode.kernel").incr();
+                self.declared = Some(declared);
+                self.decode_records(head.get(header_len..).unwrap_or_default(), declared, sink)?;
+                self.decode_records(later, declared, sink)
             }
-            if byte & 0x80 == 0 {
-                self.shift = 0;
-                self.records += 1;
-            } else {
-                self.shift += 7;
+            // A short name field just needs more bytes.
+            Err(TraceError::Truncated) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn decode_records(
+        &mut self,
+        mut bytes: &[u8],
+        declared: u64,
+        sink: &mut impl FnMut(&[Access]),
+    ) -> Result<(), TraceError> {
+        // Bytes of complete records, for the decode.bytes counter.
+        let mut consumed = 0usize;
+        let mut failure = None;
+        if !self.tail.is_empty() {
+            // Settle the record the previous fragment cut short: a
+            // window of RECORD_WINDOW fresh bytes always decides it.
+            let before = self.tail.len();
+            let take = bytes.len().min(RECORD_WINDOW);
+            let mut window = std::mem::take(&mut self.tail);
+            window.extend_from_slice(bytes.get(..take).unwrap_or_default());
+            let run = kernels::run_decode(self.kernel, &window, 1, &mut self.prev, &mut self.out);
+            match run.failure {
+                None => {
+                    consumed = run.committed;
+                    bytes = bytes.get(run.committed - before..).unwrap_or_default();
+                }
+                Some(TraceError::Truncated) => {
+                    self.tail = window;
+                    return Ok(());
+                }
+                Some(e) => failure = Some(e),
             }
+        }
+        while failure.is_none() {
+            let left = declared - self.decoded - self.out.len() as u64;
+            if left == 0 {
+                self.trailing = self.trailing.saturating_add(bytes.len());
+                break;
+            }
+            if self.out.len() >= self.chunk_capacity {
+                self.flush(sink);
+                continue;
+            }
+            let room = self.chunk_capacity - self.out.len();
+            let target = self.out.len() + usize::try_from(left).map_or(room, |l| l.min(room));
+            let run =
+                kernels::run_decode(self.kernel, bytes, target, &mut self.prev, &mut self.out);
+            consumed += run.committed;
+            bytes = bytes.get(run.committed..).unwrap_or_default();
+            match run.failure {
+                None => {}
+                // Out of bytes, possibly inside a record: keep its head.
+                Some(TraceError::Truncated) => {
+                    self.tail = bytes.to_vec();
+                    break;
+                }
+                Some(e) => failure = Some(e),
+            }
+        }
+        rdx_metrics::counter("rdx.trace.decode.bytes").add(consumed as u64);
+        self.flush(sink);
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// Hands the decoded buffer to the sink and counts it.
+    fn flush(&mut self, sink: &mut impl FnMut(&[Access])) {
+        let n = self.out.len() as u64;
+        if n == 0 {
+            return;
+        }
+        self.decoded += n;
+        sink(&self.out);
+        self.out.clear();
+        rdx_metrics::counter("rdx.trace.decode.events").add(n);
+        rdx_metrics::counter("rdx.trace.decode.accesses").add(n);
+        rdx_metrics::counter("rdx.trace.decode.chunks").incr();
+        match self.kernel {
+            KernelKind::Scalar => {
+                rdx_metrics::counter("rdx.trace.decode.scalar_accesses").add(n);
+            }
+            KernelKind::Swar | KernelKind::Simd => {
+                rdx_metrics::counter("rdx.trace.decode.swar_accesses").add(n);
+            }
+        }
+    }
+
+    /// The verdict on the bytes pushed so far, as a [`TraceReader`] over
+    /// them would [`finish`](TraceReader::finish).
+    ///
+    /// # Errors
+    ///
+    /// The error a push failed with; [`TraceError::Truncated`] before
+    /// the header or the declared records are complete;
+    /// [`TraceError::TrailingData`] if bytes followed the last record.
+    pub fn finish(&self) -> Result<(), TraceError> {
+        if let Some(e) = &self.error {
+            return Err(dup_push_error(e));
+        }
+        match self.declared {
+            Some(declared) if self.decoded == declared => {}
+            _ => return Err(TraceError::Truncated),
+        }
+        if self.trailing > 0 {
+            return Err(TraceError::TrailingData(self.trailing));
         }
         Ok(())
     }
+}
 
-    /// Complete records scanned so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// True when the last scanned fragment ended inside a record.
-    #[must_use]
-    pub fn mid_record(&self) -> bool {
-        self.shift != 0
+/// A fresh instance of a push error: the header kinds keep their data,
+/// record errors go through [`dup_decode_error`].
+fn dup_push_error(e: &TraceError) -> TraceError {
+    match e {
+        TraceError::BadMagic => TraceError::BadMagic,
+        TraceError::BadVersion(v) => TraceError::BadVersion(*v),
+        TraceError::BadName => TraceError::BadName,
+        other => dup_decode_error(other),
     }
 }
 
@@ -898,32 +1101,86 @@ mod tests {
         assert!(matches!(TraceReader::new(raw), Err(TraceError::Malformed)));
     }
 
-    #[test]
-    fn record_scanner_counts_and_detects_overlong() {
-        let t = Trace::from_addresses("s", (0..50u64).map(|i| i * 64));
-        let raw = to_bytes(&t);
-        let name_len = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]) as usize;
-        let records = &raw[12 + name_len + 8..];
-        // Arbitrary fragmentation: every split point agrees.
-        for split in 0..records.len() {
-            let mut scanner = RecordScanner::new();
-            scanner.scan(&records[..split]).unwrap();
-            scanner.scan(&records[split..]).unwrap();
-            assert_eq!(scanner.records(), 50);
-            assert!(!scanner.mid_record());
+    /// Pushes `fragments` through a fresh push decoder, collecting the
+    /// decoded accesses and the first push error.
+    fn push_all(fragments: &[&[u8]], capacity: usize) -> (Vec<Access>, Option<TraceError>) {
+        let mut dec = PushDecoder::new().with_chunk_capacity(capacity);
+        let mut got = Vec::new();
+        let mut first_err = None;
+        for f in fragments {
+            let result = dec.push(f, |a| {
+                assert!(a.len() <= capacity, "sink run exceeds the capacity");
+                got.extend_from_slice(a);
+            });
+            if let Err(e) = result {
+                first_err.get_or_insert(e);
+            }
         }
-        // A fragment ending mid-record is visible, then resolves.
-        let mut scanner = RecordScanner::new();
-        scanner.scan(&[0x81]).unwrap();
-        assert!(scanner.mid_record());
-        assert_eq!(scanner.records(), 0);
-        scanner.scan(&[0x01]).unwrap();
-        assert!(!scanner.mid_record());
-        assert_eq!(scanner.records(), 1);
-        // Overlong input trips the scanner, which then stays fused.
-        let mut scanner = RecordScanner::new();
-        assert!(scanner.scan(&overlong_varint(0x7f)).is_err());
-        assert!(scanner.scan(&[0x01]).is_err());
+        assert_eq!(dec.decoded(), got.len() as u64);
+        (got, first_err)
+    }
+
+    #[test]
+    fn push_decoder_splits_anywhere() {
+        let t = Trace::from_addresses("s", (0..50u64).map(|i| (i * 64) ^ 0x1000));
+        let raw = to_bytes(&t);
+        for split in 0..=raw.len() {
+            let (head, rest) = raw.split_at(split);
+            let (got, err) = push_all(&[head, rest], 7);
+            assert!(err.is_none(), "split {split}");
+            assert_eq!(got, t.accesses(), "split {split}");
+        }
+        // Byte by byte: every record crosses a fragment boundary.
+        let bytes: Vec<&[u8]> = raw.chunks(1).collect();
+        assert_eq!(push_all(&bytes, 3).0, t.accesses());
+    }
+
+    #[test]
+    fn push_decoder_verdicts_match_the_reader() {
+        let t = Trace::from_addresses("v", (0..40u64).map(|i| i * 8));
+        let raw = to_bytes(&t).to_vec();
+        let mut dec = PushDecoder::new();
+        assert!(!dec.has_header());
+        assert!(matches!(dec.finish(), Err(TraceError::Truncated)));
+        dec.push(&raw[..raw.len() - 1], |_| {}).unwrap();
+        assert!(dec.has_header());
+        assert_eq!(dec.decoded(), 39);
+        assert!(matches!(dec.finish(), Err(TraceError::Truncated)));
+        dec.push(&raw[raw.len() - 1..], |_| {}).unwrap();
+        assert!(dec.finish().is_ok());
+        // Bytes past the declared count are trailing data, not records.
+        dec.push(&[0x01, 0x02], |_| panic!("no records past the count"))
+            .unwrap();
+        assert_eq!(dec.decoded(), 40);
+        assert!(matches!(dec.finish(), Err(TraceError::TrailingData(2))));
+    }
+
+    #[test]
+    fn push_decoder_rejects_overlong_on_arrival_and_stays_fused() {
+        // The 19th byte is a continuation byte whose bits overflow the
+        // payload: the push carrying it fails, though no terminator has
+        // arrived yet, and the decoder stays fused.
+        let raw = trace_with_raw_record(&overlong_varint(0xff), 1);
+        let cut = raw.len() - 1;
+        let mut dec = PushDecoder::new();
+        dec.push(&raw[..cut], |_| {}).unwrap();
+        assert!(matches!(
+            dec.push(&raw[cut..], |_| {}),
+            Err(TraceError::Malformed)
+        ));
+        assert!(matches!(
+            dec.push(&[0x01], |_| {}),
+            Err(TraceError::Malformed)
+        ));
+        assert!(matches!(dec.finish(), Err(TraceError::Malformed)));
+        // Header errors are reported as such once the fixed header is in.
+        let mut dec = PushDecoder::new();
+        dec.push(b"RDXX", |_| {}).unwrap();
+        assert!(matches!(
+            dec.push(&[0; 16], |_| {}),
+            Err(TraceError::BadMagic)
+        ));
+        assert!(matches!(dec.finish(), Err(TraceError::BadMagic)));
     }
 
     #[test]
@@ -1350,12 +1607,6 @@ mod proptests {
                 get_varint(&mut buf),
                 Err(TraceError::Malformed)
             ));
-            // incremental scanner
-            let mut scanner = RecordScanner::new();
-            prop_assert!(matches!(
-                scanner.scan(&overlong),
-                Err(TraceError::Malformed)
-            ));
             // bulk: splice the record into a valid header
             let t = Trace::from_addresses("o", [1u64]);
             let raw = to_bytes(&t).to_vec();
@@ -1364,49 +1615,56 @@ mod proptests {
             let mut framed = raw[..12 + name_len].to_vec();
             framed.extend_from_slice(&1u64.to_le_bytes());
             framed.extend_from_slice(&overlong);
-            let mut reader = TraceReader::new(framed).unwrap();
+            let mut reader = TraceReader::new(framed.clone()).unwrap();
             let mut chunk = Chunk::default();
             prop_assert!(matches!(
                 reader.decode_chunk(&mut chunk, 16),
                 Err(TraceError::Malformed)
             ));
+            // push mode
+            prop_assert!(matches!(
+                PushDecoder::new().push(&framed, |_| {}),
+                Err(TraceError::Malformed)
+            ));
         }
 
-        /// The incremental `RecordScanner` agrees with the scalar
-        /// decoder on arbitrary byte streams at arbitrary split points:
-        /// same malformed-vs-clean verdict, same complete-record count.
+        /// The push decoder agrees with the reader on arbitrary record
+        /// bytes (mostly garbage: truncated, overlong and trailing cases
+        /// of every flavor) pushed in arbitrary fragments: same accesses
+        /// in the same order, same verdict.
         #[test]
-        fn record_scanner_matches_scalar_decoder(
-            data in prop::collection::vec(any::<u8>(), 0..256),
-            split in 0usize..256,
+        fn push_decoder_matches_reader(
+            records in prop::collection::vec(any::<u8>(), 0..256),
+            declared in 0u64..64,
+            cuts in prop::collection::vec(0usize..300, 0..6),
+            capacity in 1usize..40,
         ) {
-            // Scalar oracle: decode varints until the bytes run out.
-            let mut buf = Bytes::from(data.clone());
-            let mut want_records = 0u64;
-            let mut want_malformed = false;
-            loop {
-                if !buf.has_remaining() {
-                    break;
+            let mut raw = to_bytes(&Trace::new("p")).to_vec();
+            let count_at = raw.len() - 8;
+            raw[count_at..].copy_from_slice(&declared.to_le_bytes());
+            raw.extend_from_slice(&records);
+            // Oracle: the pull reader, access by access.
+            let mut reader = TraceReader::new(raw.clone()).unwrap();
+            let mut want = Vec::new();
+            let want_verdict = loop {
+                match reader.try_next() {
+                    Ok(Some(a)) => want.push(a),
+                    Ok(None) => break reader.finish(),
+                    Err(e) => break Err(e),
                 }
-                match get_varint(&mut buf) {
-                    Ok(_) => want_records += 1,
-                    Err(TraceError::Truncated) => break, // partial tail
-                    Err(TraceError::Malformed) => {
-                        want_malformed = true;
-                        break;
-                    }
-                    Err(e) => prop_assert!(false, "unexpected error {e}"),
-                }
+            };
+            let mut points: Vec<usize> = cuts.iter().map(|&c| c.min(raw.len())).collect();
+            points.sort_unstable();
+            points.push(raw.len());
+            let mut dec = PushDecoder::new().with_chunk_capacity(capacity);
+            let mut got = Vec::new();
+            let mut at = 0;
+            for &to in &points {
+                let _ = dec.push(&raw[at..to], |a| got.extend_from_slice(a));
+                at = to;
             }
-            let split = split.min(data.len());
-            let mut scanner = RecordScanner::new();
-            let got = scanner
-                .scan(&data[..split])
-                .and_then(|()| scanner.scan(&data[split..]));
-            prop_assert_eq!(got.is_err(), want_malformed);
-            if !want_malformed {
-                prop_assert_eq!(scanner.records(), want_records);
-            }
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(format!("{:?}", dec.finish()), format!("{want_verdict:?}"));
         }
 
         /// Kernel equivalence at the trait boundary: the SWAR kernel

@@ -25,6 +25,8 @@
 //!   bounded chunk per call, and [`PipelinedReader`] runs that decoder
 //!   on a dedicated thread (decode-ahead over a ring of recycled
 //!   buffers), so file-backed profiling feeds the machine fast path.
+//!   [`PushDecoder`] decodes the same format pushed in arbitrary byte
+//!   fragments, each the moment it arrives (server sessions).
 //! * [`frame`] — a length-prefixed frame codec with typed
 //!   [`FrameError`]s and [`PayloadWriter`] / [`PayloadReader`] field
 //!   encoding, the wire layer of the `rdx serve` protocol.
@@ -58,11 +60,11 @@ pub use bytes::Bytes;
 pub use chunk::{Chunk, Chunked, Chunker, DEFAULT_CHUNK_CAPACITY};
 pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
-pub use io::{RecordScanner, TraceError, TraceReader, MAX_NAME_LEN};
+pub use io::{PushDecoder, TraceError, TraceReader, MAX_NAME_LEN};
 pub use kernels::{DecodeKernel, KernelChoice, KernelEntry, KernelKind};
 pub use pipeline::{
     DecodeMsg, DecodeTurn, DecoderTask, PipelineOptions, PipelinedReader, VirtualLink,
 };
 pub use stats::TraceStats;
 pub use stream::{AccessStream, FnStream, Opaque, Take};
-pub use trace::{Trace, TraceStream};
+pub use trace::Trace;

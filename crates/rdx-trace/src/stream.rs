@@ -147,6 +147,34 @@ impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
     }
 }
 
+/// A borrowed slice replays as a chunk-capable stream, shrinking from
+/// the front as accesses are consumed (the way `&[u8]` implements
+/// `Read`): the whole unread remainder is one zero-copy chunk.
+impl AccessStream for &[Access] {
+    fn next_access(&mut self) -> Option<Access> {
+        let (&first, rest) = self.split_first()?;
+        *self = rest;
+        Some(first)
+    }
+
+    fn remaining_hint(&self) -> Option<u64> {
+        Some(self.len() as u64)
+    }
+
+    fn chunk_capable(&self) -> bool {
+        true
+    }
+
+    fn next_chunk(&mut self) -> Option<&[Access]> {
+        (!self.is_empty()).then_some(*self)
+    }
+
+    fn consume_chunk(&mut self, n: usize) {
+        debug_assert!(n <= self.len());
+        *self = self.get(n..).unwrap_or_default();
+    }
+}
+
 /// Stream adapter limiting the number of accesses; created by
 /// [`AccessStream::take`].
 #[derive(Debug, Clone)]
@@ -283,6 +311,20 @@ mod tests {
         assert!(s.next_access().is_none());
         // streams are fused by construction here
         assert!(s.next_access().is_none());
+    }
+
+    #[test]
+    fn slice_stream_serves_its_remainder_as_one_chunk() {
+        let accesses = [Access::load(8), Access::store(16), Access::load(24)];
+        let mut s: &[Access] = &accesses;
+        assert!(s.chunk_capable());
+        assert_eq!(s.next_access(), Some(accesses[0]));
+        assert_eq!(s.next_chunk(), Some(&accesses[1..]));
+        s.consume_chunk(1);
+        assert_eq!(s.remaining_hint(), Some(1));
+        assert_eq!(s.next_access(), Some(accesses[2]));
+        assert_eq!(s.next_chunk(), None);
+        assert_eq!(s.next_access(), None);
     }
 
     #[test]

@@ -116,13 +116,11 @@ impl Trace {
         self.accesses.iter()
     }
 
-    /// Creates a replaying stream borrowing this trace.
+    /// Creates a replaying stream borrowing this trace: the slice of
+    /// its accesses, a chunk-capable [`AccessStream`].
     #[must_use]
-    pub fn stream(&self) -> TraceStream<'_> {
-        TraceStream {
-            trace: self,
-            pos: 0,
-        }
+    pub fn stream(&self) -> &[Access] {
+        &self.accesses
     }
 
     /// The distinct block numbers touched, at the given address shift
@@ -163,44 +161,6 @@ impl<'a> IntoIterator for &'a Trace {
 
     fn into_iter(self) -> Self::IntoIter {
         self.accesses.iter()
-    }
-}
-
-/// Stream that replays a borrowed [`Trace`]; created by [`Trace::stream`].
-#[derive(Debug, Clone)]
-pub struct TraceStream<'a> {
-    trace: &'a Trace,
-    pos: usize,
-}
-
-impl AccessStream for TraceStream<'_> {
-    fn next_access(&mut self) -> Option<Access> {
-        let a = self.trace.accesses.get(self.pos).copied()?;
-        self.pos += 1;
-        Some(a)
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.trace.accesses.len() - self.pos) as u64)
-    }
-
-    fn chunk_capable(&self) -> bool {
-        true
-    }
-
-    /// Zero-copy: the entire unread remainder of the trace as one slice.
-    fn next_chunk(&mut self) -> Option<&[Access]> {
-        let rest = &self.trace.accesses[self.pos..];
-        if rest.is_empty() {
-            None
-        } else {
-            Some(rest)
-        }
-    }
-
-    fn consume_chunk(&mut self, n: usize) {
-        debug_assert!(n <= self.trace.accesses.len() - self.pos);
-        self.pos += n;
     }
 }
 
