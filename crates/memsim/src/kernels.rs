@@ -5,26 +5,22 @@
 //! choreography (overflow gaps, trap replay, counter bulk-advance); the
 //! per-access needle testing is delegated to a [`ScanKernel`] resolved
 //! once per run from [`MachineConfig::scan_kernel`]
-//! (crate::MachineConfig::scan_kernel). Three kinds exist workspace-wide
-//! (the same [`KernelKind`] taxonomy as the decode side in
-//! `rdx_trace::kernels`):
+//! (crate::MachineConfig::scan_kernel). The kinds are the same
+//! [`KernelKind`] taxonomy as the decode side in `rdx_trace::kernels`:
 //!
 //! * **scalar** — [`NeedleSet::scan`], the original unrolled per-access
 //!   loop, kept verbatim. It is the oracle: every other kernel must
 //!   produce the identical [`ScanOutcome`] on every input, which the
 //!   equivalence proptests in `tests/scan_kernels.rs` enforce.
-//! * **swar** — blockwise scanning: accesses are tested eight at a time
-//!   with the early-exit branch hoisted out of the per-access loop to a
-//!   per-block hit mask, so the needle compares become straight-line
-//!   branch-free code LLVM can keep in registers and autovectorize. A
-//!   hit block is re-walked scalar-wise for the exact offset and store
-//!   prefix (rare: at most one hit per quiet segment).
+//! * **swar** — no scan kernel. A blockwise SWAR scanner measured about
+//!   0.7× the scalar oracle, so the table marks the row unavailable and
+//!   a forced `swar` resolves to the cheapest available kernel.
 //! * **simd** — AVX2 on x86_64 (runtime-detected): four 64-bit address
 //!   lanes per compare, the unsigned range test done with the
 //!   sign-flip + signed-greater-than trick. This is the only `unsafe`
 //!   code in the workspace, confined to this module and guarded by
 //!   `is_x86_feature_detected!`. Other architectures mark the row
-//!   unavailable and resolve to SWAR.
+//!   unavailable and resolve to scalar.
 //!
 //! The capability/cost table idiom ([`scan_kernels`], `auto` picking
 //! the cheapest available row) mirrors `rdx_trace::kernels`: adding an
@@ -34,12 +30,9 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::scan::MAX_NEEDLES;
-use crate::scan::{count_stores, NeedleSet, ScanOutcome};
+use crate::scan::{NeedleSet, ScanOutcome};
 use rdx_trace::Access;
 pub use rdx_trace::{KernelChoice, KernelEntry, KernelKind};
-
-/// Accesses tested per block in the SWAR kernel: one hit-mask byte.
-const LANES: usize = 8;
 
 /// One interchangeable inner loop of the needle scanner.
 ///
@@ -69,170 +62,11 @@ impl ScanKernel for ScalarScan {
     }
 }
 
-/// The portable blockwise kernel (safe Rust, SIMD-within-a-register in
-/// spirit: branch-free per-block hit masks instead of per-access early
-/// exits).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SwarScan;
-
-impl ScanKernel for SwarScan {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Swar
-    }
-
-    fn scan(&self, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
-        let n = set.len();
-        if n == 0 {
-            return ScanOutcome {
-                first_match: None,
-                stores_before: count_stores(run),
-            };
-        }
-        // Every armable watchpoint is a power-of-two span on a
-        // naturally aligned base (x86 debug-register rules), which
-        // turns the range test into a masked XOR equality — a shape
-        // baseline SSE autovectorizes, unlike u64 unsigned compares.
-        // Arbitrary sets (reachable via `NeedleSet::from_ranges`) take
-        // the generic compare path.
-        let aligned = (0..n)
-            .all(|j| set.span[j].is_power_of_two() && set.base[j].is_multiple_of(set.span[j]));
-        // Same monomorphization ladder as the scalar oracle: the needle
-        // loop fully unrolls for the common register counts.
-        match (aligned, n) {
-            (true, 1) => swar_aligned::<1>(set, run),
-            (true, 2) => swar_aligned::<2>(set, run),
-            (true, 3) => swar_aligned::<3>(set, run),
-            (true, 4) => swar_aligned::<4>(set, run),
-            (false, 1) => swar_scan::<1>(set, run),
-            (false, 2) => swar_scan::<2>(set, run),
-            (false, 3) => swar_scan::<3>(set, run),
-            (false, 4) => swar_scan::<4>(set, run),
-            _ => swar_any(set, run, n),
-        }
-    }
-}
-
-/// Blockwise scan for aligned power-of-two needles: the in-range test
-/// is `(addr ^ base) & !(span − 1) == 0` (same address prefix), which
-/// is exactly `addr ∈ [base, base + span)` for a span-aligned base.
-fn swar_aligned<const N: usize>(set: &NeedleSet, run: &[Access]) -> ScanOutcome {
-    let mut base = [0u64; N];
-    let mut mask = [0u64; N];
-    let mut pass = [0u64; N];
-    for j in 0..N {
-        base[j] = set.base[j];
-        mask[j] = !(set.span[j] - 1);
-        pass[j] = u64::from(!set.store_only[j]);
-    }
-    let mut stores: u64 = 0;
-    let mut pos: usize = 0;
-    while let Some(block) = run.get(pos..pos + LANES) {
-        let mut addrs = [0u64; LANES];
-        let mut st = [0u64; LANES];
-        for k in 0..LANES {
-            addrs[k] = block[k].addr.raw();
-            st[k] = u64::from(block[k].kind.is_store());
-        }
-        let mut hit = [0u64; LANES];
-        for j in 0..N {
-            for k in 0..LANES {
-                hit[k] |= u64::from((addrs[k] ^ base[j]) & mask[j] == 0) & (st[k] | pass[j]);
-            }
-        }
-        let mut any = 0u64;
-        let mut block_stores = 0u64;
-        for k in 0..LANES {
-            any |= hit[k];
-            block_stores += st[k];
-        }
-        if any != 0 {
-            // The oracle pins the exact offset and prefix; should a
-            // lane ever over-match, falling through only costs time
-            // (the scan contract tolerates spurious block hits).
-            let sub = set.scan_any(block, N);
-            if let Some(off) = sub.first_match {
-                return ScanOutcome {
-                    first_match: Some(pos + off),
-                    stores_before: stores + sub.stores_before,
-                };
-            }
-        }
-        stores += block_stores;
-        pos += LANES;
-    }
-    let tail = set.scan_any(&run[pos..], N);
-    ScanOutcome {
-        first_match: tail.first_match.map(|i| pos + i),
-        stores_before: stores + tail.stores_before,
-    }
-}
-
-/// Monomorphized blockwise scan for small fixed needle counts.
-fn swar_scan<const N: usize>(set: &NeedleSet, run: &[Access]) -> ScanOutcome {
-    swar_any(set, run, N)
-}
-
-/// Blockwise scan body: eight accesses per iteration in
-/// structure-of-arrays form, hit decisions accumulated into per-lane
-/// masks so the block body is branch-free straight-line u64 arithmetic
-/// (the needle loop is outermost over the lane arrays — the shape LLVM
-/// autovectorizes).
-#[inline(always)]
-fn swar_any(set: &NeedleSet, run: &[Access], n: usize) -> ScanOutcome {
-    let mut stores: u64 = 0;
-    let mut pos: usize = 0;
-    while let Some(block) = run.get(pos..pos + LANES) {
-        let mut addrs = [0u64; LANES];
-        let mut st = [0u64; LANES];
-        for k in 0..LANES {
-            addrs[k] = block[k].addr.raw();
-            st[k] = u64::from(block[k].kind.is_store());
-        }
-        let mut hit = [0u64; LANES];
-        for j in 0..n {
-            // Identical predicate to the oracle: in-range iff
-            // addr ∈ [base, base + span), store gating per needle.
-            let (base, span) = (set.base[j], set.span[j]);
-            let pass = u64::from(!set.store_only[j]);
-            for k in 0..LANES {
-                hit[k] |= u64::from(addrs[k].wrapping_sub(base) < span) & (st[k] | pass);
-            }
-        }
-        let mut any = 0u64;
-        let mut block_stores = 0u64;
-        for k in 0..LANES {
-            any |= hit[k];
-            block_stores += st[k];
-        }
-        if any != 0 {
-            // Rare (at most once per quiet segment): re-walk the hit
-            // block with the oracle for the exact offset and prefix. An
-            // over-matching lane falls through at the cost of a block
-            // re-walk — never a wrong outcome.
-            let sub = set.scan_any(block, n);
-            if let Some(off) = sub.first_match {
-                return ScanOutcome {
-                    first_match: Some(pos + off),
-                    stores_before: stores + sub.stores_before,
-                };
-            }
-        }
-        stores += block_stores;
-        pos += LANES;
-    }
-    // Tail (< 8 accesses): the scalar walk, offsets rebased.
-    let tail = set.scan_any(&run[pos..], n);
-    ScanOutcome {
-        first_match: tail.first_match.map(|i| pos + i),
-        stores_before: stores + tail.stores_before,
-    }
-}
-
 /// The x86_64 AVX2 kernel: four address lanes per compare.
 ///
 /// Only constructed when `is_x86_feature_detected!("avx2")` holds (and
 /// [`ScanKernel::scan`] re-checks, so a mis-forced kind degrades to the
-/// portable kernel instead of executing illegal instructions).
+/// scalar oracle instead of executing illegal instructions).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimdScan;
 
@@ -247,7 +81,7 @@ impl ScanKernel for SimdScan {
             // SAFETY: AVX2 support was just verified on this CPU.
             return unsafe { avx2::scan(set, run) };
         }
-        SwarScan.scan(set, run)
+        ScalarScan.scan(set, run)
     }
 }
 
@@ -268,7 +102,6 @@ mod avx2 {
     //! before use (only the address word and the kind byte feed any
     //! predicate).
 
-    use super::LANES;
     use crate::scan::{count_stores, NeedleSet, ScanOutcome};
     use rdx_trace::Access;
     use std::arch::x86_64::{
@@ -277,6 +110,9 @@ mod avx2 {
         _mm256_setzero_si256, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_testz_si256,
         _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
     };
+
+    /// Accesses tested per block: two 4-lane compares.
+    const LANES: usize = 8;
 
     /// Sign-flip constant: turns an unsigned 64-bit compare into the
     /// signed compare AVX2 provides (`a <u b  ⇔  a^MSB <s b^MSB`).
@@ -459,8 +295,10 @@ mod avx2 {
 
 /// The scan-side capability/cost table for this host.
 ///
-/// The `simd` row is available only on x86_64 CPUs with AVX2; elsewhere
-/// `resolve` degrades it to the portable SWAR kernel.
+/// The `swar` row is unavailable by measurement, not omission: a
+/// blockwise SWAR scanner ran at about 0.7× the scalar oracle, so
+/// `auto` must never pick one. The `simd` row is available only on
+/// x86_64 CPUs with AVX2; elsewhere `resolve` degrades both to scalar.
 #[must_use]
 pub fn scan_kernels() -> [KernelEntry; 3] {
     #[cfg(target_arch = "x86_64")]
@@ -475,8 +313,8 @@ pub fn scan_kernels() -> [KernelEntry; 3] {
         },
         KernelEntry {
             kind: KernelKind::Swar,
-            available: true,
-            cost: 45,
+            available: false,
+            cost: 143,
         },
         KernelEntry {
             kind: KernelKind::Simd,
@@ -493,23 +331,22 @@ pub fn resolve_scan(choice: KernelChoice) -> KernelKind {
 }
 
 /// Runs the scan kernel of `kind` (static dispatch — the machine
-/// resolved the kind once per run).
+/// resolved the kind once per run). `Swar` has no scan kernel and runs
+/// the scalar oracle.
 #[inline]
 pub fn run_scan(kind: KernelKind, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
     match kind {
-        KernelKind::Scalar => ScalarScan.scan(set, run),
-        KernelKind::Swar => SwarScan.scan(set, run),
+        KernelKind::Scalar | KernelKind::Swar => ScalarScan.scan(set, run),
         KernelKind::Simd => SimdScan.scan(set, run),
     }
 }
 
 /// The scan kernel instance for `kind`, for benches and tests that
-/// drive kernels directly.
+/// drive kernels directly (`Swar` maps to the scalar oracle).
 #[must_use]
 pub fn scan_kernel(kind: KernelKind) -> &'static dyn ScanKernel {
     match kind {
-        KernelKind::Scalar => &ScalarScan,
-        KernelKind::Swar => &SwarScan,
+        KernelKind::Scalar | KernelKind::Swar => &ScalarScan,
         KernelKind::Simd => &SimdScan,
     }
 }
@@ -527,12 +364,13 @@ mod tests {
 
     #[test]
     fn resolve_auto_prefers_fastest_available() {
+        // Whatever the host: auto and a forced `swar` never land on the
+        // unavailable SWAR row; they take AVX2 where present, else the
+        // scalar oracle. A forced scalar always sticks.
         let auto = resolve_scan(KernelChoice::Auto);
-        // Whatever the host: auto never picks scalar (SWAR is always
-        // available and cheaper) and forced choices stick when present.
-        assert_ne!(auto, KernelKind::Scalar);
+        assert_ne!(auto, KernelKind::Swar);
+        assert_eq!(resolve_scan(KernelChoice::Swar), auto);
         assert_eq!(resolve_scan(KernelChoice::Scalar), KernelKind::Scalar);
-        assert_eq!(resolve_scan(KernelChoice::Swar), KernelKind::Swar);
     }
 
     #[test]
@@ -549,7 +387,7 @@ mod tests {
         let want = set.scan(&run);
         assert_eq!(want.first_match, Some(10));
         assert_eq!(want.stores_before, 3);
-        for kind in [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd] {
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
             let got = run_scan(kind, &set, &run);
             assert_eq!(got, want, "kind={kind:?}");
         }
@@ -561,7 +399,7 @@ mod tests {
         let run = run_of(&[(0x40, false), (0x44, false), (0x40, true)]);
         let want = set.scan(&run);
         assert_eq!(want.first_match, Some(2));
-        for kind in [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd] {
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
             assert_eq!(run_scan(kind, &set, &run), want, "kind={kind:?}");
         }
     }
@@ -574,7 +412,7 @@ mod tests {
             let run = run_of(&accesses);
             let want = set.scan(&run);
             assert_eq!(want.first_match, None);
-            for kind in [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd] {
+            for kind in [KernelKind::Scalar, KernelKind::Simd] {
                 assert_eq!(run_scan(kind, &set, &run), want, "len={len} kind={kind:?}");
             }
         }

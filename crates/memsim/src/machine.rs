@@ -376,11 +376,8 @@ impl MachineRun {
             // Per-kernel totals, named literally per match arm so the
             // counter-manifest lint sees every name.
             match self.kernel {
-                KernelKind::Scalar => {
+                KernelKind::Scalar | KernelKind::Swar => {
                     rdx_metrics::counter("rdx.machine.scan.scalar_accesses").add(fp_scanned);
-                }
-                KernelKind::Swar => {
-                    rdx_metrics::counter("rdx.machine.scan.swar_accesses").add(fp_scanned);
                 }
                 KernelKind::Simd => {
                     rdx_metrics::counter("rdx.machine.scan.simd_accesses").add(fp_scanned);

@@ -1,4 +1,4 @@
-//! Scalar-vs-SWAR/SIMD equivalence for the needle scanner.
+//! Scalar-vs-SIMD equivalence for the needle scanner.
 //!
 //! [`NeedleSet::scan`] is the oracle; every kernel in `memsim::kernels`
 //! must produce the identical [`ScanOutcome`] — same first-match
@@ -13,9 +13,9 @@ use proptest::prelude::*;
 use rdx_trace::Access;
 
 /// Every kernel kind that must agree with the oracle. `Simd` is always
-/// exercised: on hosts without AVX2 it degrades to the portable kernel
-/// inside `run_scan`, which must *still* match the oracle.
-const KINDS: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd];
+/// exercised: on hosts without AVX2 it degrades to the scalar oracle
+/// inside `run_scan`, which must *still* match.
+const KINDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
 fn needle_strategy() -> impl Strategy<Value = (u64, u64, bool)> {
     // Aligned 8-byte spans near the generated address range, plus
@@ -90,17 +90,14 @@ proptest! {
     }
 }
 
-/// The capability table always offers scalar and SWAR, and `auto`
-/// resolution never lands on an unavailable row.
+/// The capability table always offers scalar, and no choice resolves
+/// to an unavailable row.
 #[test]
 fn capability_table_is_sound() {
     let table = scan_kernels();
     assert!(table
         .iter()
         .any(|e| e.kind == KernelKind::Scalar && e.available));
-    assert!(table
-        .iter()
-        .any(|e| e.kind == KernelKind::Swar && e.available));
     for choice in [
         KernelChoice::Auto,
         KernelChoice::Scalar,

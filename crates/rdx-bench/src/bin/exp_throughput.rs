@@ -9,7 +9,7 @@
 //! difference is accesses per second.
 //!
 //! A second contrast isolates the needle scanner itself: the same quiet
-//! run is swept by every registered scan kernel ([`memsim::kernels`]),
+//! run is swept by every available scan kernel ([`memsim::kernels`]),
 //! and the auto-dispatched kernel's throughput over the scalar oracle's
 //! becomes `kernel_speedup` — an in-process ratio that is immune to
 //! host speed, which is what the CI regression gate checks.
@@ -66,7 +66,7 @@ fn assert_identical(name: &str, fast: &RdxProfile, slow: &RdxProfile) {
 }
 
 /// One scan-kernel measurement: the resolved auto kernel, every
-/// registered kernel's quiet-run throughput, and the auto-vs-scalar
+/// available kernel's quiet-run throughput, and the auto-vs-scalar
 /// ratio the regression gate pins.
 struct ScanBench {
     auto_kind: KernelKind,
@@ -85,7 +85,7 @@ impl ScanBench {
 /// Accesses per scan pass: one plausible PMU overflow gap's worth.
 const SCAN_RUN: usize = 1 << 16;
 
-/// Times every registered scan kernel over the hot case — a quiet run
+/// Times every available scan kernel over the hot case — a quiet run
 /// (no needle hits) swept end to end, exactly what the machine fast
 /// path does between PMU overflows.
 fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
@@ -127,7 +127,7 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
         std::hint::black_box(sink);
         accesses as f64 / secs
     };
-    for entry in scan_kernels() {
+    for entry in scan_kernels().into_iter().filter(|e| e.available) {
         per_kernel.push((entry.kind.name(), aps_of(entry.kind)));
     }
     let lookup = |kind: KernelKind| {

@@ -5,13 +5,11 @@
 //! rdx profile <workload|file.rdxt> [--accesses N] [--elements N]
 //!             [--period N] [--seed N] [--registers N] [--jobs N]
 //!             [--exact] [--mrc] [--csv] [--metrics] [--save file.rdxp]
-//!             [--pipelined|--no-pipelined] [--decode-buffer N]
-//!             [--decode-ahead N] [--kernel auto|scalar|swar|simd]
+//!             [--decode-buffer N] [--kernel auto|scalar|swar|simd]
 //! rdx suite [file.rdxt ...] [--accesses N] [--elements N] [--period N]
 //!           [--seed N] [--jobs N] [--csv] [--metrics]
 //!           [--merge] [--out file.rdxp]
-//!           [--pipelined|--no-pipelined] [--decode-buffer N]
-//!           [--decode-ahead N] [--kernel auto|scalar|swar|simd]
+//!           [--decode-buffer N] [--kernel auto|scalar|swar|simd]
 //! rdx merge <file.rdxp ...> [--out file.rdxp] [--jobs N]
 //!           [--kernel auto|scalar|swar|simd] [--csv] [--mrc]
 //! rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd]
@@ -21,8 +19,7 @@
 //! rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N]
 //!            [--elements N] [--period N] [--seed N] [--registers N]
 //!            [--chunk-bytes N] [--aggregate N] [--crosscheck] [--metrics]
-//!            [--pipelined|--no-pipelined] [--decode-buffer N]
-//!            [--decode-ahead N]
+//!            [--decode-buffer N]
 //! rdx sim [--seed N] [--schedules N] [--faults LIST]
 //! rdx static <kernel> [--accesses N] [--elements N] [--seed N]
 //!            [--exact] [--mrc] [--csv] [--metrics]
@@ -31,10 +28,8 @@
 //! `profile` accepts either a registry workload name or a path to a
 //! serialized RDXT trace; `suite` profiles the whole registry, or — when
 //! leading file arguments are given — each trace file in parallel. File
-//! inputs are decoded ahead on a dedicated thread by default
-//! (`--no-pipelined` decodes in bulk on the profiling thread;
-//! `--decode-buffer`/`--decode-ahead` size the chunk and the buffer
-//! ring).
+//! inputs are bulk-decoded on the profiling thread, one chunk of
+//! `--decode-buffer` accesses per refill.
 //!
 //! Profiles are a merge monoid: `profile --save` writes a profile in
 //! the versioned RDXP wire format, `merge` folds RDXP files from disk
@@ -50,7 +45,7 @@
 //! implementation family (`auto`, the default, picks the cheapest
 //! available per the capability tables; a forced kind that is
 //! unavailable on this host degrades per the table, e.g. `simd` decode
-//! runs the SWAR kernel). Every kernel is bit-identical in output;
+//! runs the SWAR kernel and `swar` scan runs AVX2 or scalar). Every kernel is bit-identical in output;
 //! `rdx trace` prints the resolved kernel it decoded with.
 //!
 //! `serve` runs the long-lived framed profiling daemon from
@@ -72,11 +67,10 @@
 //! --exact` measures ground truth with `N` shards.
 //!
 //! `sim` runs the deterministic simulation suite from `rdx-sim`: the
-//! concurrent paths (pipelined decode-ahead, batch dispatch, server
-//! sessions) driven step by step under seeded schedules with fault
-//! injection. A violation prints the seed that replays it and exits
-//! nonzero. `--faults` takes `all`, `none`, or a comma-separated subset
-//! of `truncate`, `overlong`, `worker-death`, `batch-panic`,
+//! concurrent paths (batch dispatch, server sessions) driven step by
+//! step under seeded schedules with fault injection. A violation prints
+//! the seed that replays it and exits nonzero. `--faults` takes `all`,
+//! `none`, or a comma-separated subset of `overlong`, `batch-panic`,
 //! `session-disorder`.
 //!
 //! `static` estimates an affine kernel's reuse profile symbolically
@@ -114,21 +108,18 @@ fn usage() -> ExitCode {
         "usage:\n  rdx list\n  rdx profile <workload|file.rdxt> [--accesses N] \
          [--elements N] [--period N]\n              [--seed N] [--registers N] [--jobs N] \
          [--exact] [--mrc] [--csv] [--metrics]\n              [--save file.rdxp] \
-         [--pipelined|--no-pipelined]\n              \
-         [--decode-buffer N] [--decode-ahead N]\n              \
-         [--kernel auto|scalar|swar|simd]\n  rdx suite [file.rdxt ...] [--accesses N] \
+         [--decode-buffer N] [--kernel auto|scalar|swar|simd]\n  \
+         rdx suite [file.rdxt ...] [--accesses N] \
          [--elements N] [--period N] [--seed N]\n            [--jobs N] [--csv] [--metrics] \
-         [--merge] [--out file.rdxp]\n            [--pipelined|--no-pipelined]\n            \
-         [--decode-buffer N] [--decode-ahead N] \
-         [--kernel auto|scalar|swar|simd]\n  \
+         [--merge] [--out file.rdxp]\n            \
+         [--decode-buffer N] [--kernel auto|scalar|swar|simd]\n  \
          rdx merge <file.rdxp ...> [--out file.rdxp] [--jobs N]\n            \
          [--kernel auto|scalar|swar|simd] [--csv] [--mrc]\n  \
          rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd] [--metrics]\n  \
          rdx serve --listen <addr|socket-path> [--max-conns N] [--max-session-bytes N]\n  \
          rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N] [--elements N]\n             \
          [--period N] [--seed N] [--registers N] [--chunk-bytes N]\n             \
-         [--aggregate N] [--crosscheck] [--metrics] [--pipelined|--no-pipelined]\n             \
-         [--decode-buffer N] [--decode-ahead N]\n  \
+         [--aggregate N] [--crosscheck] [--metrics] [--decode-buffer N]\n  \
          rdx sim [--seed N] [--schedules N] [--faults LIST]\n  \
          rdx static <kernel> [--accesses N] [--elements N] [--seed N]\n             \
          [--exact] [--mrc] [--csv] [--metrics]"
@@ -168,7 +159,6 @@ struct Opts {
     registers: Option<u64>,
     jobs: Option<u64>,
     decode_buffer: Option<u64>,
-    decode_ahead: Option<u64>,
     chunk_bytes: Option<u64>,
     aggregate: Option<u64>,
     kernel: Option<KernelChoice>,
@@ -178,8 +168,6 @@ struct Opts {
     mrc: bool,
     csv: bool,
     metrics: bool,
-    pipelined: bool,
-    no_pipelined: bool,
     crosscheck: bool,
     merge: bool,
 }
@@ -197,14 +185,11 @@ impl Opts {
                 return Err(format!("unknown flag '{flag}'"));
             }
             match flag {
-                "--exact" | "--mrc" | "--csv" | "--metrics" | "--pipelined" | "--no-pipelined"
-                | "--crosscheck" | "--merge" => {
+                "--exact" | "--mrc" | "--csv" | "--metrics" | "--crosscheck" | "--merge" => {
                     let slot = match flag {
                         "--exact" => &mut opts.exact,
                         "--mrc" => &mut opts.mrc,
                         "--metrics" => &mut opts.metrics,
-                        "--pipelined" => &mut opts.pipelined,
-                        "--no-pipelined" => &mut opts.no_pipelined,
                         "--crosscheck" => &mut opts.crosscheck,
                         "--merge" => &mut opts.merge,
                         _ => &mut opts.csv,
@@ -244,7 +229,6 @@ impl Opts {
                         "--registers" => &mut opts.registers,
                         "--jobs" => &mut opts.jobs,
                         "--decode-buffer" => &mut opts.decode_buffer,
-                        "--decode-ahead" => &mut opts.decode_ahead,
                         "--chunk-bytes" => &mut opts.chunk_bytes,
                         "--aggregate" => &mut opts.aggregate,
                         _ => unreachable!("allowed flags are handled above"),
@@ -261,9 +245,6 @@ impl Opts {
                 }
             }
         }
-        if opts.pipelined && opts.no_pipelined {
-            return Err("'--pipelined' conflicts with '--no-pipelined'".to_string());
-        }
         opts.validate()?;
         Ok(opts)
     }
@@ -274,8 +255,8 @@ impl Opts {
     /// server applies the same checks to options arriving over the wire.
     fn validate(&self) -> Result<(), String> {
         use rdx_core::limits::{
-            check_accesses, check_decode_ahead, check_decode_buffer, check_elements, check_jobs,
-            check_period, check_registers,
+            check_accesses, check_decode_buffer, check_elements, check_jobs, check_period,
+            check_registers,
         };
         let err = |e: rdx_core::LimitError| format!("--{e}");
         if let Some(v) = self.accesses {
@@ -295,9 +276,6 @@ impl Opts {
         }
         if let Some(v) = self.decode_buffer {
             check_decode_buffer(usize::try_from(v).unwrap_or(usize::MAX)).map_err(err)?;
-        }
-        if let Some(v) = self.decode_ahead {
-            check_decode_ahead(usize::try_from(v).unwrap_or(usize::MAX)).map_err(err)?;
         }
         if self.chunk_bytes == Some(0) {
             return Err("--chunk-bytes must be at least 1 (got 0)".to_string());
@@ -345,36 +323,17 @@ impl Opts {
         }
     }
 
-    /// How file inputs should be decoded (pipelined decode-ahead unless
-    /// `--no-pipelined`; `--decode-buffer`/`--decode-ahead` size it).
+    /// How file inputs should be decoded (`--decode-buffer` sizes the
+    /// bulk decoder's chunk).
     fn ingest(&self) -> IngestOptions {
-        let mut o = IngestOptions::default().with_pipelined(!self.no_pipelined);
+        let mut o = IngestOptions::default();
         if let Some(v) = self.decode_buffer {
             o = o.with_chunk_capacity(usize::try_from(v).unwrap_or(usize::MAX).max(1));
-        }
-        if let Some(v) = self.decode_ahead {
-            o = o.with_decode_ahead(usize::try_from(v).unwrap_or(usize::MAX));
         }
         if let Some(k) = self.kernel {
             o = o.with_decode_kernel(k);
         }
         o
-    }
-
-    /// The first decode-tuning flag present, if any — these only apply
-    /// to trace-file inputs.
-    fn decode_flag(&self) -> Option<&'static str> {
-        if self.pipelined {
-            Some("--pipelined")
-        } else if self.no_pipelined {
-            Some("--no-pipelined")
-        } else if self.decode_buffer.is_some() {
-            Some("--decode-buffer")
-        } else if self.decode_ahead.is_some() {
-            Some("--decode-ahead")
-        } else {
-            None
-        }
     }
 }
 
@@ -386,15 +345,12 @@ const PROFILE_FLAGS: &[&str] = &[
     "--registers",
     "--jobs",
     "--decode-buffer",
-    "--decode-ahead",
     "--kernel",
     "--exact",
     "--mrc",
     "--csv",
     "--metrics",
     "--save",
-    "--pipelined",
-    "--no-pipelined",
 ];
 
 const SUITE_FLAGS: &[&str] = &[
@@ -404,14 +360,11 @@ const SUITE_FLAGS: &[&str] = &[
     "--period",
     "--jobs",
     "--decode-buffer",
-    "--decode-ahead",
     "--kernel",
     "--csv",
     "--metrics",
     "--merge",
     "--out",
-    "--pipelined",
-    "--no-pipelined",
 ];
 
 const MERGE_FLAGS: &[&str] = &["--out", "--jobs", "--kernel", "--csv", "--mrc"];
@@ -437,11 +390,8 @@ const CLIENT_FLAGS: &[&str] = &[
     "--chunk-bytes",
     "--aggregate",
     "--decode-buffer",
-    "--decode-ahead",
     "--crosscheck",
     "--metrics",
-    "--pipelined",
-    "--no-pipelined",
 ];
 
 fn profile(args: &[String]) -> ExitCode {
@@ -469,9 +419,9 @@ fn profile(args: &[String]) -> ExitCode {
 }
 
 fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
-    if let Some(flag) = opts.decode_flag() {
+    if opts.decode_buffer.is_some() {
         eprintln!(
-            "error: {flag} applies to trace-file inputs; '{}' is a generated workload",
+            "error: --decode-buffer applies to trace-file inputs; '{}' is a generated workload",
             workload.name
         );
         return ExitCode::FAILURE;
@@ -539,9 +489,9 @@ fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Profiles one serialized RDXT trace file. Decoding is pipelined ahead
-/// of the profiler by default; the profile covers the decodable prefix,
-/// and a short or trailing-data decode is a failure after reporting.
+/// Profiles one serialized RDXT trace file, bulk-decoding it on the
+/// profiling thread. The profile covers the decodable prefix, and a
+/// short or trailing-data decode is a failure after reporting.
 fn profile_file(path: &str, opts: &Opts) -> ExitCode {
     for (flag, given) in [
         ("--accesses", opts.accesses.is_some()),
@@ -576,12 +526,7 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
         println!("est. blocks     : {:.0}", profile.m_estimate);
         println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
         println!(
-            "ingestion       : {} (chunk capacity {})",
-            if ingest.pipelined {
-                "pipelined decode-ahead"
-            } else {
-                "bulk decode"
-            },
+            "ingestion       : bulk decode (chunk capacity {})",
             ingest.chunk_capacity
         );
         println!("\nreuse-distance histogram (weights normalized):");
@@ -644,8 +589,10 @@ fn suite_cmd(args: &[String]) -> ExitCode {
     if !files.is_empty() {
         return suite_files(files, &opts);
     }
-    if let Some(flag) = opts.decode_flag() {
-        eprintln!("error: {flag} applies to trace-file inputs; pass RDXT files to `rdx suite`");
+    if opts.decode_buffer.is_some() {
+        eprintln!(
+            "error: --decode-buffer applies to trace-file inputs; pass RDXT files to `rdx suite`"
+        );
         return ExitCode::FAILURE;
     }
     let params = opts.params();
@@ -756,15 +703,10 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
         println!("trace,declared,accesses,samples,traps,est_blocks,time_overhead,mean_rd,clean");
     } else {
         println!(
-            "suite: {} trace files, period {}, {} jobs, {} decode\n",
+            "suite: {} trace files, period {}, {} jobs, bulk decode\n",
             reports.len(),
             config.machine.sampling.period,
             jobs,
-            if ingest.pipelined {
-                "pipelined"
-            } else {
-                "bulk"
-            }
         );
         println!(
             "{:16} {:>10} {:>10} {:>8} {:>8} {:>11} {:>9} {:>10}",
@@ -1152,8 +1094,6 @@ const DECODE_COUNTERS: &[&str] = &[
     "rdx.trace.decode.bytes",
     "rdx.trace.decode.chunks",
     "rdx.trace.decode.events",
-    "rdx.trace.decode.recycled_buffers",
-    "rdx.trace.decode.stalls",
 ];
 
 /// Prints the `rdx trace --metrics` JSON report: the decode counters
@@ -1342,12 +1282,8 @@ fn client_cmd(args: &[String]) -> ExitCode {
     if let Some(v) = opts.registers {
         sopts.registers = u32::try_from(v).unwrap_or(u32::MAX);
     }
-    sopts.pipelined = !opts.no_pipelined;
     if let Some(v) = opts.decode_buffer {
         sopts.chunk_capacity = v;
-    }
-    if let Some(v) = opts.decode_ahead {
-        sopts.decode_ahead = v;
     }
     let chunk_bytes = usize::try_from(opts.chunk_bytes.unwrap_or(64 << 10)).unwrap_or(usize::MAX);
 
@@ -1631,9 +1567,8 @@ impl SimArgs {
 }
 
 /// Runs the deterministic simulation suite: seeded schedules and fault
-/// injection over the pipelined reader, batch dispatch, and server
-/// sessions, plus the golden-digest reproduction through the virtual
-/// pipeline. A violation prints its replay seed and exits FAILURE.
+/// injection over batch dispatch and server sessions. A violation
+/// prints its replay seed and exits FAILURE.
 fn sim_cmd(args: &[String]) -> ExitCode {
     let parsed = match SimArgs::parse(args) {
         Ok(p) => p,
@@ -1895,6 +1830,18 @@ mod tests {
     fn rejects_unknown_flag() {
         let err = Opts::parse(&to_args(&["--bogus", "3"]), PROFILE_FLAGS).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
+        // No decode-ahead flags: file inputs decode in bulk on the
+        // profiling thread, and only the chunk size is tunable.
+        for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS] {
+            for args in [
+                &["--pipelined"][..],
+                &["--no-pipelined"][..],
+                &["--decode-ahead", "3"][..],
+            ] {
+                let err = Opts::parse(&to_args(args), flags).unwrap_err();
+                assert_eq!(err, format!("unknown flag '{}'", args[0]));
+            }
+        }
     }
 
     #[test]
@@ -1944,30 +1891,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_flags_parse_and_conflict() {
+    fn decode_buffer_flag_parses() {
         for flags in [PROFILE_FLAGS, SUITE_FLAGS] {
-            let opts = Opts::parse(
-                &to_args(&[
-                    "--no-pipelined",
-                    "--decode-buffer",
-                    "4096",
-                    "--decode-ahead",
-                    "3",
-                ]),
-                flags,
-            )
-            .unwrap();
-            assert!(opts.no_pipelined);
+            let opts = Opts::parse(&to_args(&["--decode-buffer", "4096"]), flags).unwrap();
             assert_eq!(opts.decode_buffer, Some(4096));
-            assert_eq!(opts.decode_ahead, Some(3));
-            let ingest = opts.ingest();
-            assert!(!ingest.pipelined);
-            assert_eq!(ingest.chunk_capacity, 4096);
-            assert_eq!(ingest.decode_ahead, 3);
+            assert_eq!(opts.ingest().chunk_capacity, 4096);
         }
-        let err =
-            Opts::parse(&to_args(&["--pipelined", "--no-pipelined"]), PROFILE_FLAGS).unwrap_err();
-        assert!(err.contains("conflicts"), "{err}");
     }
 
     #[test]
@@ -2078,7 +2007,7 @@ mod tests {
         let arg = path.display().to_string();
         for extra in [
             &["--period", "512", "--csv"][..],
-            &["--no-pipelined", "--csv"][..],
+            &["--decode-buffer", "777", "--csv"][..],
         ] {
             let mut args = vec![arg.clone()];
             args.extend(extra.iter().map(|s| (*s).to_string()));
@@ -2099,7 +2028,13 @@ mod tests {
 
     #[test]
     fn profile_rejects_decode_flags_for_workloads() {
-        let code = profile(&to_args(&["zipf", "--pipelined", "--accesses", "1000"]));
+        let code = profile(&to_args(&[
+            "zipf",
+            "--decode-buffer",
+            "64",
+            "--accesses",
+            "1000",
+        ]));
         assert_eq!(code, ExitCode::FAILURE);
     }
 
@@ -2154,14 +2089,6 @@ mod tests {
                 &["--decode-buffer", "0"][..],
                 "--decode-buffer must be at least 1 (got 0)",
             ),
-            (
-                &["--decode-ahead", "1"][..],
-                "--decode-ahead must be at least 2 (got 1)",
-            ),
-            (
-                &["--decode-ahead", "0"][..],
-                "--decode-ahead must be at least 2 (got 0)",
-            ),
         ] {
             let err = Opts::parse(&to_args(args), PROFILE_FLAGS).unwrap_err();
             assert_eq!(err, needle);
@@ -2170,7 +2097,7 @@ mod tests {
         assert_eq!(err, "--chunk-bytes must be at least 1 (got 0)");
         // In-range values still parse.
         let opts = Opts::parse(
-            &to_args(&["--period", "1", "--registers", "4", "--decode-ahead", "2"]),
+            &to_args(&["--period", "1", "--registers", "4", "--decode-buffer", "1"]),
             PROFILE_FLAGS,
         )
         .unwrap();
@@ -2234,12 +2161,13 @@ mod tests {
         assert_eq!(a.schedules, 8);
         assert_eq!(a.faults, rdx_sim::FaultSet::all());
 
-        let a = SimArgs::parse(&to_args(&["--faults", "truncate,worker-death"])).unwrap();
-        assert!(a.faults.truncate && a.faults.worker_death);
-        assert!(!a.faults.overlong && !a.faults.batch_panic && !a.faults.session_disorder);
+        let a = SimArgs::parse(&to_args(&["--faults", "overlong,session-disorder"])).unwrap();
+        assert!(a.faults.overlong && a.faults.session_disorder);
+        assert!(!a.faults.batch_panic);
 
         for (args, needle) in [
             (&["--faults", "bogus"][..], "unknown fault class"),
+            (&["--faults", "worker-death"][..], "unknown fault class"),
             (&["--schedules", "0"][..], "--schedules must be at least 1"),
             (&["--seed", "1", "--seed", "2"][..], "duplicate flag"),
             (&["--period", "512"][..], "unknown flag"),
@@ -2266,7 +2194,7 @@ mod tests {
             &["--registers", "2"][..],
             &["--jobs", "4"][..],
             &["--kernel", "swar"][..],
-            &["--pipelined"][..],
+            &["--decode-buffer", "64"][..],
         ] {
             let err = Opts::parse(&to_args(args), STATIC_FLAGS).unwrap_err();
             assert!(err.contains("unknown flag"), "{args:?}: {err}");

@@ -1,14 +1,12 @@
 //! File-backed trace ingestion: RDXT inputs into the profiling engine.
 //!
-//! The profiler consumes [`AccessStream`]s; RDXT files on disk reach it
-//! through this module. Two execution shapes, both chunk-capable so
-//! `Machine::run`'s bulk-scan fast path applies either way:
-//!
-//! * **bulk** — a plain [`TraceReader`], whose chunk API bulk-decodes a
-//!   bounded chunk of varints per refill on the consumer's thread;
-//! * **pipelined** (the default) — a [`PipelinedReader`] that runs the
-//!   same bulk decoder on a dedicated thread, so decoding the next chunk
-//!   overlaps with profiling the current one.
+//! The profiler consumes [`AccessStream`](rdx_trace::AccessStream)s;
+//! RDXT files on disk reach it through this module as a plain
+//! [`TraceReader`], whose chunk API bulk-decodes a bounded chunk of
+//! varints per refill on the profiling thread, so `Machine::run`'s
+//! bulk-scan fast path applies. Nothing runs beside the profiler:
+//! decoding ahead on a second thread was measured slower than this path
+//! on every registry workload.
 //!
 //! Headers are validated when an input is loaded ([`load_rdxt`]), so
 //! stream construction on a batch worker cannot fail; record-level
@@ -19,25 +17,16 @@ use crate::batch::{profile_batch, BatchTask};
 use crate::config::RdxConfig;
 use crate::report::RdxProfile;
 use crate::runner::RdxRunner;
-use rdx_trace::{
-    Access, AccessStream, KernelChoice, PipelineOptions, PipelinedReader, TraceError, TraceReader,
-    DEFAULT_CHUNK_CAPACITY,
-};
+use rdx_trace::{KernelChoice, TraceError, TraceReader, DEFAULT_CHUNK_CAPACITY};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// How file-backed profiling decodes its input.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
-    /// Run the decoder on a dedicated thread ([`PipelinedReader`]);
-    /// when `false`, decode on the consumer's thread in bulk chunks.
-    pub pipelined: bool,
     /// Accesses per decoded chunk (default
     /// [`DEFAULT_CHUNK_CAPACITY`]).
     pub chunk_capacity: usize,
-    /// Decode-ahead depth of the pipelined reader's buffer ring
-    /// (ignored without `pipelined`; default 2 = double buffering).
-    pub decode_ahead: usize,
     /// Which decode kernel the reader uses (default: auto, the
     /// cheapest available in the trace layer's capability table).
     pub decode_kernel: KernelChoice,
@@ -46,33 +35,17 @@ pub struct IngestOptions {
 impl Default for IngestOptions {
     fn default() -> Self {
         IngestOptions {
-            pipelined: true,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            decode_ahead: 2,
             decode_kernel: KernelChoice::Auto,
         }
     }
 }
 
 impl IngestOptions {
-    /// Sets whether decoding runs on a dedicated thread.
-    #[must_use]
-    pub fn with_pipelined(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
-        self
-    }
-
     /// Sets the accesses decoded per chunk.
     #[must_use]
     pub fn with_chunk_capacity(mut self, capacity: usize) -> Self {
         self.chunk_capacity = capacity;
-        self
-    }
-
-    /// Sets the pipelined reader's decode-ahead depth.
-    #[must_use]
-    pub fn with_decode_ahead(mut self, depth: usize) -> Self {
-        self.decode_ahead = depth;
         self
     }
 
@@ -161,19 +134,12 @@ impl RdxtInput {
         })
     }
 
-    /// Turns the input into a profiler-ready stream.
+    /// Turns the input into a profiler-ready, chunk-capable stream.
     #[must_use]
-    pub fn into_stream(self, opts: &IngestOptions) -> RdxtStream {
-        let capacity = opts.chunk_capacity.max(1);
-        let reader = self.reader.with_kernel(opts.decode_kernel);
-        if opts.pipelined {
-            let popts = PipelineOptions::default()
-                .with_chunk_capacity(capacity)
-                .with_depth(opts.decode_ahead);
-            RdxtStream::Pipelined(PipelinedReader::with_options(reader, popts))
-        } else {
-            RdxtStream::Bulk(reader.with_chunk_capacity(capacity))
-        }
+    pub fn into_stream(self, opts: &IngestOptions) -> TraceReader {
+        self.reader
+            .with_kernel(opts.decode_kernel)
+            .with_chunk_capacity(opts.chunk_capacity)
     }
 }
 
@@ -197,84 +163,6 @@ pub fn load_rdxt(path: impl AsRef<Path>) -> Result<RdxtInput, IngestError> {
         path: path.to_path_buf(),
         source,
     })
-}
-
-/// A file-backed access stream: bulk-decoding reader or its pipelined
-/// (decode-ahead thread) variant. Both are chunk-capable.
-#[derive(Debug)]
-pub enum RdxtStream {
-    /// Decode on the consumer's thread, one bulk chunk per refill.
-    Bulk(TraceReader),
-    /// Decode ahead on a dedicated thread.
-    Pipelined(PipelinedReader),
-}
-
-impl RdxtStream {
-    /// The trace's embedded name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        match self {
-            RdxtStream::Bulk(r) => r.name(),
-            RdxtStream::Pipelined(r) => r.name(),
-        }
-    }
-
-    /// The record count declared in the trace header.
-    #[must_use]
-    pub fn declared_len(&self) -> u64 {
-        match self {
-            RdxtStream::Bulk(r) => r.declared_len(),
-            RdxtStream::Pipelined(r) => r.declared_len(),
-        }
-    }
-
-    /// Verifies the input decoded cleanly and exactly (all declared
-    /// records, no trailing bytes). For the pipelined variant this
-    /// drains the decoder first.
-    ///
-    /// # Errors
-    ///
-    /// The [`TraceError`] the decode ended with, if any.
-    pub fn finish(self) -> Result<(), TraceError> {
-        match self {
-            RdxtStream::Bulk(r) => r.finish(),
-            RdxtStream::Pipelined(r) => r.finish(),
-        }
-    }
-}
-
-impl AccessStream for RdxtStream {
-    fn next_access(&mut self) -> Option<Access> {
-        match self {
-            RdxtStream::Bulk(r) => r.next_access(),
-            RdxtStream::Pipelined(r) => r.next_access(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self {
-            RdxtStream::Bulk(r) => r.remaining_hint(),
-            RdxtStream::Pipelined(r) => r.remaining_hint(),
-        }
-    }
-
-    fn chunk_capable(&self) -> bool {
-        true
-    }
-
-    fn next_chunk(&mut self) -> Option<&[Access]> {
-        match self {
-            RdxtStream::Bulk(r) => r.next_chunk(),
-            RdxtStream::Pipelined(r) => r.next_chunk(),
-        }
-    }
-
-    fn consume_chunk(&mut self, n: usize) {
-        match self {
-            RdxtStream::Bulk(r) => r.consume_chunk(n),
-            RdxtStream::Pipelined(r) => r.consume_chunk(n),
-        }
-    }
 }
 
 /// One file's profile out of [`profile_rdxt_batch`].
@@ -364,10 +252,8 @@ mod tests {
 
     fn both_opts() -> [IngestOptions; 2] {
         [
+            IngestOptions::default(),
             IngestOptions::default().with_chunk_capacity(1024),
-            IngestOptions::default()
-                .with_pipelined(false)
-                .with_chunk_capacity(1024),
         ]
     }
 
@@ -380,8 +266,8 @@ mod tests {
         for opts in both_opts() {
             let input = RdxtInput::from_bytes("m", raw.clone()).expect("valid");
             let (profile, verdict) = runner.profile_rdxt(input, &opts);
-            assert!(verdict.is_ok(), "pipelined={}", opts.pipelined);
-            assert_eq!(profile.rd, want.rd, "pipelined={}", opts.pipelined);
+            assert!(verdict.is_ok(), "capacity {}", opts.chunk_capacity);
+            assert_eq!(profile.rd, want.rd, "capacity {}", opts.chunk_capacity);
             assert_eq!(profile.rt, want.rt);
             assert_eq!(profile.samples, want.samples);
             assert_eq!(profile.traps, want.traps);
@@ -401,8 +287,8 @@ mod tests {
             assert!(profile.accesses < declared);
             assert!(
                 matches!(verdict, Err(TraceError::Truncated)),
-                "pipelined={}",
-                opts.pipelined
+                "capacity {}",
+                opts.chunk_capacity
             );
         }
     }

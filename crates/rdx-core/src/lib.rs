@@ -73,7 +73,7 @@ pub use batch::{default_jobs, profile_batch, BatchTask};
 pub use config::{CensoringCorrection, ConversionMethod, RdxConfig, ReplacementPolicy};
 pub use convert::WeightedFootprint;
 pub use ingest::{
-    load_rdxt, profile_rdxt_batch, IngestError, IngestOptions, RdxtInput, RdxtReport, RdxtStream,
+    load_rdxt, profile_rdxt_batch, IngestError, IngestOptions, RdxtInput, RdxtReport,
 };
 pub use kernels::{
     merge_kernel, merge_kernels, resolve_merge, KernelChoice, KernelEntry, KernelKind, MergeKernel,

@@ -19,9 +19,9 @@ use rdx_histogram::Histogram;
 use rdx_trace::{Chunked, Opaque, Trace};
 use rdx_workloads::{suite, Params};
 
-/// Every scan-kernel selection the golden digest must survive. `Simd`
-/// resolves to the portable kernel on hosts without AVX2 — still a
-/// distinct dispatch path worth pinning.
+/// Every scan-kernel selection the golden digest must survive. `Swar`
+/// (no scan kernel of its own) and `Simd` on hosts without AVX2 resolve
+/// by table rule — still distinct dispatch paths worth pinning.
 const KERNELS: [KernelChoice; 4] = [
     KernelChoice::Auto,
     KernelChoice::Scalar,

@@ -1,7 +1,6 @@
 //! File-backed ingestion must be invisible in the output: profiling an
-//! RDXT-serialized workload through the bulk-decoding reader or the
-//! pipelined (decode-ahead thread) reader reproduces the exact registry
-//! golden digest that `metrics_determinism.rs` recorded from in-memory
+//! RDXT-serialized workload through the bulk-decoding reader reproduces
+//! the exact registry golden digest that `metrics_determinism.rs` recorded from in-memory
 //! generator streams and `fastpath_equivalence.rs` reproduced through
 //! the chunk fast path. Same constant, third execution shape.
 
@@ -64,18 +63,8 @@ fn registry_digest_through_files(opts: &IngestOptions) -> u64 {
 }
 
 #[test]
-fn pipelined_ingestion_reproduces_registry_golden_digest() {
-    let got = registry_digest_through_files(&IngestOptions::default());
-    assert_eq!(
-        got, GOLDEN,
-        "pipelined file-backed registry digest {got:#018x} deviates from \
-         the in-memory baseline — decode-ahead must be bit-identical",
-    );
-}
-
-#[test]
 fn bulk_ingestion_reproduces_registry_golden_digest() {
-    let got = registry_digest_through_files(&IngestOptions::default().with_pipelined(false));
+    let got = registry_digest_through_files(&IngestOptions::default());
     assert_eq!(
         got, GOLDEN,
         "bulk file-backed registry digest {got:#018x} deviates from the \
@@ -84,27 +73,18 @@ fn bulk_ingestion_reproduces_registry_golden_digest() {
 }
 
 #[test]
-fn odd_chunk_capacities_and_depths_reproduce_the_digest() {
+fn odd_chunk_capacity_reproduces_the_digest() {
     // Chunk borders must never matter: a tiny odd capacity forces PMU
     // overflow gaps and armed-watchpoint lifetimes to straddle chunks.
-    for opts in [
-        IngestOptions::default()
-            .with_chunk_capacity(777)
-            .with_decode_ahead(4),
-        IngestOptions::default()
-            .with_pipelined(false)
-            .with_chunk_capacity(777),
-    ] {
-        let got = registry_digest_through_files(&opts);
-        assert_eq!(got, GOLDEN, "capacity 777, pipelined={}", opts.pipelined);
-    }
+    let got = registry_digest_through_files(&IngestOptions::default().with_chunk_capacity(777));
+    assert_eq!(got, GOLDEN, "capacity 777 digest {got:#018x}");
 }
 
 #[test]
 fn every_decode_kernel_reproduces_the_digest() {
     // Kernel dispatch must be invisible: forcing each decode kernel
     // (simd degrades to SWAR by table rule — still a distinct path)
-    // through both ingestion shapes lands on the same bits.
+    // lands on the same bits.
     use rdx_trace::KernelChoice;
     for kernel in [
         KernelChoice::Auto,
@@ -112,21 +92,14 @@ fn every_decode_kernel_reproduces_the_digest() {
         KernelChoice::Swar,
         KernelChoice::Simd,
     ] {
-        for opts in [
-            IngestOptions::default().with_decode_kernel(kernel),
-            IngestOptions::default()
-                .with_pipelined(false)
-                .with_decode_kernel(kernel),
-        ] {
-            let got = registry_digest_through_files(&opts);
-            assert_eq!(
-                got,
-                GOLDEN,
-                "decode kernel '{}' (pipelined={}) digest {got:#018x} \
-                 deviates — every kernel must be bit-identical",
-                kernel.name(),
-                opts.pipelined,
-            );
-        }
+        let got =
+            registry_digest_through_files(&IngestOptions::default().with_decode_kernel(kernel));
+        assert_eq!(
+            got,
+            GOLDEN,
+            "decode kernel '{}' digest {got:#018x} deviates — every kernel \
+             must be bit-identical",
+            kernel.name(),
+        );
     }
 }

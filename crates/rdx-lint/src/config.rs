@@ -90,7 +90,6 @@ impl LintConfig {
                 ("rdx-trace", "kernels.rs"),
                 ("rdx-trace", "stream.rs"),
                 ("rdx-trace", "chunk.rs"),
-                ("rdx-trace", "pipeline.rs"),
                 ("rdx-trace", "frame.rs"),
                 ("rdx-server", "protocol.rs"),
                 ("rdx-server", "session.rs"),

@@ -8,9 +8,7 @@
 //! first bad message instead of desynchronizing the stream.
 
 use bytes::Bytes;
-use rdx_core::limits::{
-    check_decode_ahead, check_decode_buffer, check_period, check_registers, LimitError,
-};
+use rdx_core::limits::{check_decode_buffer, check_period, check_registers, LimitError};
 use rdx_core::{IngestOptions, RdxConfig, RdxProfile};
 use rdx_trace::{FrameError, PayloadReader, PayloadWriter};
 
@@ -18,7 +16,7 @@ use rdx_trace::{FrameError, PayloadReader, PayloadWriter};
 /// it and the server refuses mismatches, so stale clients fail fast.
 ///
 /// [`Hello`]: ClientMessage::Hello
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Default sampling period for sessions that don't specify one,
 /// matching the CLI's default operating point.
@@ -48,13 +46,6 @@ const T_ERROR: u8 = 0xEE;
 ///
 /// Mirrors the CLI's profiling flags; the server validates them with
 /// the same [`rdx_core::limits`] checks the CLI uses at parse time.
-/// `pipelined` and `decode_ahead` are still validated for wire
-/// compatibility, but server sessions decode inline as chunks arrive:
-/// they describe only the local ingest path ([`ingest`]) that clients
-/// crosscheck against. Removing them belongs with the pipelined-decode
-/// deletion.
-///
-/// [`ingest`]: SessionOptions::ingest
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Mean PMU sampling period in accesses (≥ 1).
@@ -63,17 +54,9 @@ pub struct SessionOptions {
     pub registers: u32,
     /// Machine RNG seed.
     pub seed: u64,
-    /// Decode on a dedicated thread (decode-ahead) when profiling
-    /// locally ([`ingest`](SessionOptions::ingest)). Server sessions
-    /// decode inline as chunks arrive and ignore it; it is still
-    /// validated, for wire compatibility.
-    pub pipelined: bool,
     /// Accesses per decoded chunk (≥ 1): a server session's decode
     /// buffer holds at most this many accesses.
     pub chunk_capacity: u64,
-    /// Decode-ahead ring depth (≥ 2). Like `pipelined`, validated for
-    /// wire compatibility but unused by server sessions.
-    pub decode_ahead: u64,
 }
 
 impl Default for SessionOptions {
@@ -84,9 +67,7 @@ impl Default for SessionOptions {
             period: DEFAULT_PERIOD,
             registers: 4,
             seed: config.machine.seed,
-            pipelined: ingest.pipelined,
             chunk_capacity: ingest.chunk_capacity as u64,
-            decode_ahead: ingest.decode_ahead as u64,
         }
     }
 }
@@ -102,9 +83,6 @@ impl SessionOptions {
         check_period(self.period)?;
         check_registers(usize::try_from(self.registers).unwrap_or(usize::MAX))?;
         check_decode_buffer(usize::try_from(self.chunk_capacity).unwrap_or(usize::MAX))?;
-        if self.pipelined {
-            check_decode_ahead(usize::try_from(self.decode_ahead).unwrap_or(usize::MAX))?;
-        }
         Ok(())
     }
 
@@ -121,9 +99,7 @@ impl SessionOptions {
     #[must_use]
     pub fn ingest(&self) -> IngestOptions {
         IngestOptions::default()
-            .with_pipelined(self.pipelined)
             .with_chunk_capacity(usize::try_from(self.chunk_capacity).unwrap_or(usize::MAX))
-            .with_decode_ahead(usize::try_from(self.decode_ahead).unwrap_or(usize::MAX))
     }
 }
 
@@ -469,9 +445,7 @@ impl ClientMessage {
                 w.put_u64(opts.period);
                 w.put_u32(opts.registers);
                 w.put_u64(opts.seed);
-                w.put_u8(u8::from(opts.pipelined));
                 w.put_u64(opts.chunk_capacity);
-                w.put_u64(opts.decode_ahead);
                 w.finish()
             }
             ClientMessage::TraceChunk { session, bytes } => {
@@ -516,9 +490,7 @@ impl ClientMessage {
                     period: r.take_u64()?,
                     registers: r.take_u32()?,
                     seed: r.take_u64()?,
-                    pipelined: r.take_u8()? != 0,
                     chunk_capacity: r.take_u64()?,
-                    decode_ahead: r.take_u64()?,
                 };
                 ClientMessage::OpenSession { name, opts }
             }
@@ -823,9 +795,7 @@ mod tests {
                 period: 512,
                 registers: 2,
                 seed: 7,
-                pipelined: false,
                 chunk_capacity: 777,
-                decode_ahead: 3,
             },
         });
         roundtrip_client(ClientMessage::TraceChunk {
@@ -950,6 +920,34 @@ mod tests {
             ClientMessage::decode(Bytes::from(wire)),
             Err(FrameError::Malformed)
         ));
+        // An OpenSession in the version-1 layout (a pipelined flag
+        // before the chunk capacity, a decode-ahead depth after it) is
+        // nine bytes longer than this grammar: refused as trailing bytes.
+        let mut w = PayloadWriter::new(T_OPEN);
+        w.put_str("zipf").expect("short name");
+        w.put_u64(512); // period
+        w.put_u32(4); // registers
+        w.put_u64(7); // seed
+        w.put_u8(1); // pipelined
+        w.put_u64(777); // chunk capacity
+        w.put_u64(2); // decode-ahead depth
+        let old = w.finish();
+        let new = ClientMessage::OpenSession {
+            name: "zipf".to_string(),
+            opts: SessionOptions {
+                period: 512,
+                registers: 4,
+                seed: 7,
+                chunk_capacity: 777,
+            },
+        }
+        .encode()
+        .expect("encodes");
+        assert_eq!(old.len(), new.len() + 9);
+        assert!(matches!(
+            ClientMessage::decode(old),
+            Err(FrameError::Malformed)
+        ));
         // Empty payloads have no tag.
         assert!(matches!(
             ClientMessage::decode(Bytes::default()),
@@ -1007,21 +1005,10 @@ mod tests {
                 chunk_capacity: 0,
                 ..SessionOptions::default()
             },
-            SessionOptions {
-                decode_ahead: 1,
-                ..SessionOptions::default()
-            },
         ];
         for opts in bad {
             assert!(opts.validate().is_err(), "{opts:?}");
         }
-        // decode_ahead is only meaningful when pipelined.
-        let bulk = SessionOptions {
-            pipelined: false,
-            decode_ahead: 0,
-            ..SessionOptions::default()
-        };
-        assert!(bulk.validate().is_ok());
     }
 
     #[test]
@@ -1030,18 +1017,14 @@ mod tests {
             period: 512,
             registers: 3,
             seed: 7,
-            pipelined: false,
             chunk_capacity: 1234,
-            decode_ahead: 4,
         };
         let config = opts.config();
         assert_eq!(config.machine.sampling.period, 512);
         assert_eq!(config.machine.registers, 3);
         assert_eq!(config.machine.seed, 7);
         let ingest = opts.ingest();
-        assert!(!ingest.pipelined);
         assert_eq!(ingest.chunk_capacity, 1234);
-        assert_eq!(ingest.decode_ahead, 4);
         // Defaults mirror the local profiling defaults exactly — the
         // precondition for bit-identical server-side profiles.
         let d = SessionOptions::default();

@@ -1,18 +1,14 @@
-//! Input-corruption faults: deterministic byte surgery on valid RDXT
-//! streams.
+//! Input corruption: deterministic byte surgery on valid RDXT streams.
 //!
-//! The injector never flips random bits — each fault is a precise,
-//! schedule-positionable corruption with a known required verdict:
-//!
-//! * [`truncate_tail`] cuts bytes off the end → the decoder must
-//!   deliver the decodable prefix and park `TraceError::Truncated`.
-//! * [`overlong_varint`] splices a varint whose continuation bytes
-//!   carry significant bits past the 128-bit payload → the decoder
-//!   must deliver the prefix and park `TraceError::Malformed`.
+//! The injector never flips random bits — the fault is a precise
+//! corruption with a known required verdict: [`overlong_varint`]
+//! splices a varint whose continuation bytes carry significant bits
+//! past the 128-bit payload, so the decoder must deliver the prefix and
+//! park `TraceError::Malformed`.
 //!
 //! RDXT layout (see `rdx_trace::io`): magic `RDXT` (4) · version u32 LE
 //! (4) · name_len u32 LE (4) · name · count u64 LE (8) · varint
-//! records. The helpers below parse that header to patch the declared
+//! records. The injector parses that header to patch the declared
 //! count coherently, so the fault under test is the *record*
 //! corruption, not an accidental header mismatch.
 
@@ -24,15 +20,6 @@ const NAME_LEN_AT: usize = 8;
 const PRE_NAME: usize = 12;
 /// Count field width.
 const COUNT_LEN: usize = 8;
-
-/// Which input corruption a pipeline scenario injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputFault {
-    /// Cut bytes off the end of the stream (`Truncated`).
-    TruncateTail,
-    /// Splice an overlong varint after the valid records (`Malformed`).
-    OverlongVarint,
-}
 
 /// Byte offset of the count field, i.e. end of the name. `None` if the
 /// buffer is too short to even hold the fixed header (valid inputs
@@ -46,15 +33,6 @@ fn count_at(bytes: &[u8]) -> Option<usize> {
     ]) as usize;
     let at = PRE_NAME + name_len;
     (bytes.len() >= at + COUNT_LEN).then_some(at)
-}
-
-/// Cuts `cut` bytes off the tail (clamped so at least the header
-/// survives): mid-record truncation when `cut` lands inside a varint.
-#[must_use]
-pub fn truncate_tail(bytes: &[u8], cut: usize) -> Bytes {
-    let floor = count_at(bytes).map_or(0, |at| at + COUNT_LEN);
-    let keep = bytes.len().saturating_sub(cut).max(floor);
-    Bytes::from(bytes[..keep].to_vec())
 }
 
 /// Appends one record whose varint encoding is overlong (19
@@ -80,18 +58,6 @@ pub fn overlong_varint(bytes: &[u8]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Applies `fault` to a valid RDXT byte stream. For `TruncateTail` the
-/// cut size comes from the schedule (`cut`), so every byte boundary —
-/// including mid-varint and mid-header-adjacent ones — gets explored
-/// across seeds.
-#[must_use]
-pub fn apply(fault: InputFault, bytes: &[u8], cut: usize) -> Bytes {
-    match fault {
-        InputFault::TruncateTail => truncate_tail(bytes, cut),
-        InputFault::OverlongVarint => overlong_varint(bytes),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,25 +65,6 @@ mod tests {
 
     fn sample() -> Bytes {
         io::to_bytes(&Trace::from_addresses("fault", (0..100u64).map(|i| i * 64)))
-    }
-
-    #[test]
-    fn truncate_yields_truncated_error() {
-        let raw = sample();
-        for cut in [1, 5, 17] {
-            let hurt = truncate_tail(&raw, cut);
-            assert_eq!(hurt.len(), raw.len() - cut);
-            let mut r = TraceReader::new(hurt).expect("header intact");
-            while r.next_access().is_some() {}
-            assert!(matches!(r.finish(), Err(TraceError::Truncated)));
-        }
-    }
-
-    #[test]
-    fn truncate_never_cuts_into_header() {
-        let raw = sample();
-        let hurt = truncate_tail(&raw, raw.len());
-        assert!(TraceReader::new(hurt).is_ok(), "header must survive");
     }
 
     #[test]

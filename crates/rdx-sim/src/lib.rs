@@ -1,8 +1,8 @@
 //! rdx-sim — deterministic simulation of the workspace's concurrent
 //! paths.
 //!
-//! The pipelined decode-ahead reader, the batch dispatch pool, and the
-//! rdx-server session loop all have thread/channel/failure
+//! The batch dispatch pool and the rdx-server session loop both have
+//! thread/channel/failure
 //! interleavings that ordinary unit tests only sample incidentally:
 //! whatever schedule the OS happened to produce is the one that got
 //! tested. This crate replaces the OS with a **seeded, wall-clock-free
@@ -17,33 +17,29 @@
 //! The components are not reimplemented for simulation; the production
 //! types expose step hooks the simulator drives directly:
 //!
-//! * [`rdx_trace::DecoderTask`] is the decode loop as a step machine,
-//!   and [`rdx_trace::PipelinedReader::with_virtual_link`] runs the
-//!   *real* consumer logic (recycling, stall handling, parked
-//!   verdicts, dead-worker reaping) over the simulator's virtual
-//!   queues ([`pipeline::SimLink`]).
 //! * [`rdx_core::batch::dispatch`] is the claim/collect core of
 //!   `profile_batch`, driven here by virtual workers
 //!   ([`batch::run_batch`]).
 //! * [`rdx_server::SessionStepper`] is the session state machine one
 //!   command at a time ([`session`]).
 //!
-//! On top of the scheduler sits a **fault injector** ([`fault`]):
-//! truncated and overlong varints mid-chunk, decoder death at a chosen
-//! step, command streams that snapshot before a header or keep talking
-//! after a failure. Each scenario asserts the invariants that must
-//! survive any schedule — decoded-prefix delivery before a parked
-//! typed error, panic propagation in task order, typed `Internal`
-//! (never `Truncated`) for infrastructure death, and bit-identical
-//! [`REGISTRY_GOLDEN_DIGEST`] when faults are absent.
+//! On top of the scheduler sits a **fault injector**: overlong varints
+//! spliced into a session's trace ([`fault`]), batch tasks that panic,
+//! command streams that snapshot before a header or keep talking after
+//! a failure. Each scenario asserts the invariants that must survive
+//! any schedule — ordered batch results, panic propagation in task
+//! order, typed sticky session failures, and session snapshots
+//! bit-identical to the offline profile of the bytes sent so far.
+//!
+//! File ingestion has no concurrency to simulate: RDXT files are
+//! bulk-decoded on the profiling thread, and the registry golden digest
+//! through that path is pinned by rdx-core's `ingest_golden.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod fault;
-pub mod golden;
-pub mod pipeline;
 pub mod rng;
 pub mod sched;
 pub mod session;
@@ -52,13 +48,6 @@ use std::fmt;
 
 pub use rng::SplitMix64;
 pub use sched::{explore_exhaustive, shared, Picker, RecordingPicker, SeededPicker, SharedPicker};
-
-/// The workspace's golden registry digest: FNV-1a over every suite
-/// workload's profile at the canonical parameters. Must match `GOLDEN`
-/// in rdx-core's `metrics_determinism.rs` / `fastpath_equivalence.rs` /
-/// `ingest_golden.rs` — the virtual pipeline is a fourth execution
-/// shape pinning the same constant.
-pub const REGISTRY_GOLDEN_DIGEST: u64 = 0x17ea_4869_2cad_4966;
 
 /// An invariant the simulator caught being violated: which invariant,
 /// under which seed (for replay), and what was observed.
@@ -98,17 +87,12 @@ impl fmt::Display for Violation {
 impl std::error::Error for Violation {}
 
 /// Which fault classes a sim run injects. Fault-free invariants
-/// (oracle equivalence, the golden digest) always run.
+/// (batch ordering, clean sessions) always run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSet {
-    /// Trace bytes cut mid-record (`TraceError::Truncated`).
-    pub truncate: bool,
-    /// An overlong varint spliced into the record stream
+    /// An overlong varint spliced into a session's record stream
     /// (`TraceError::Malformed`).
     pub overlong: bool,
-    /// Decoder death at a schedule-chosen step
-    /// (`TraceError::Internal`).
-    pub worker_death: bool,
     /// Batch tasks that panic, at schedule-chosen claim positions.
     pub batch_panic: bool,
     /// Session command streams that misbehave: snapshots before the
@@ -121,9 +105,7 @@ impl FaultSet {
     #[must_use]
     pub fn all() -> Self {
         FaultSet {
-            truncate: true,
             overlong: true,
-            worker_death: true,
             batch_panic: true,
             session_disorder: true,
         }
@@ -133,17 +115,14 @@ impl FaultSet {
     #[must_use]
     pub fn none() -> Self {
         FaultSet {
-            truncate: false,
             overlong: false,
-            worker_death: false,
             batch_panic: false,
             session_disorder: false,
         }
     }
 
     /// Parses a `--faults` list: `all`, `none`, or a comma-separated
-    /// subset of `truncate`, `overlong`, `worker-death`, `batch-panic`,
-    /// `session-disorder`.
+    /// subset of `overlong`, `batch-panic`, `session-disorder`.
     ///
     /// # Errors
     ///
@@ -157,15 +136,13 @@ impl FaultSet {
         let mut set = FaultSet::none();
         for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             match name {
-                "truncate" => set.truncate = true,
                 "overlong" => set.overlong = true,
-                "worker-death" => set.worker_death = true,
                 "batch-panic" => set.batch_panic = true,
                 "session-disorder" => set.session_disorder = true,
                 other => {
                     return Err(format!(
-                        "unknown fault class `{other}` (expected all, none, truncate, \
-                         overlong, worker-death, batch-panic, session-disorder)"
+                        "unknown fault class `{other}` (expected all, none, overlong, \
+                         batch-panic, session-disorder)"
                     ))
                 }
             }
@@ -207,9 +184,6 @@ impl Default for SimConfig {
 pub struct SimReport {
     /// `(scenario name, schedules executed)` per scenario that ran.
     pub scenarios: Vec<(String, usize)>,
-    /// The registry digest reproduced through the virtual pipeline
-    /// (always equals [`REGISTRY_GOLDEN_DIGEST`] when `Ok`).
-    pub golden_digest: u64,
 }
 
 impl SimReport {
@@ -225,56 +199,19 @@ impl fmt::Display for SimReport {
         for (name, n) in &self.scenarios {
             writeln!(f, "  {name}: {n} schedules ok")?;
         }
-        writeln!(
-            f,
-            "  golden registry digest {:#018x} reproduced",
-            self.golden_digest
-        )
+        Ok(())
     }
 }
 
-/// Runs the full simulation suite: fault-free oracle equivalence and
-/// the golden digest, exhaustive exploration of the small scenarios,
-/// and `cfg.schedules` seeded schedules per enabled fault class.
+/// Runs the full simulation suite: exhaustive exploration of the small
+/// batch scenario, and `cfg.schedules` seeded schedules of the batch
+/// and session scenarios, with each enabled fault class injected.
 ///
 /// # Errors
 ///
 /// The first [`Violation`] encountered, carrying the seed to replay it.
 pub fn run_suite(cfg: &SimConfig) -> Result<SimReport, Violation> {
     let mut scenarios: Vec<(String, usize)> = Vec::new();
-
-    // Fault-free: the virtual pipeline must match the scalar oracle
-    // under every schedule, exhaustively for a tiny scenario...
-    let explored = pipeline::explore_clean_exhaustive(4096)?;
-    scenarios.push(("pipeline/clean (exhaustive)".into(), explored));
-    // ...and by seeded randomization for larger ones.
-    for k in 0..cfg.schedules {
-        let seed = cfg.seed.wrapping_add(k as u64);
-        pipeline::run_clean_seeded(seed)?;
-    }
-    scenarios.push(("pipeline/clean (seeded)".into(), cfg.schedules));
-
-    if cfg.faults.truncate {
-        for k in 0..cfg.schedules {
-            let seed = cfg.seed.wrapping_add(k as u64);
-            pipeline::run_faulted_seeded(seed, fault::InputFault::TruncateTail)?;
-        }
-        scenarios.push(("pipeline/truncate".into(), cfg.schedules));
-    }
-    if cfg.faults.overlong {
-        for k in 0..cfg.schedules {
-            let seed = cfg.seed.wrapping_add(k as u64);
-            pipeline::run_faulted_seeded(seed, fault::InputFault::OverlongVarint)?;
-        }
-        scenarios.push(("pipeline/overlong".into(), cfg.schedules));
-    }
-    if cfg.faults.worker_death {
-        for k in 0..cfg.schedules {
-            let seed = cfg.seed.wrapping_add(k as u64);
-            pipeline::run_worker_death_seeded(seed)?;
-        }
-        scenarios.push(("pipeline/worker-death".into(), cfg.schedules));
-    }
 
     // Batch dispatch: ordered results and task-order panic propagation
     // under every schedule.
@@ -291,7 +228,7 @@ pub fn run_suite(cfg: &SimConfig) -> Result<SimReport, Violation> {
     for k in 0..cfg.schedules {
         let seed = cfg.seed.wrapping_add(k as u64);
         session::run_clean_seeded(seed)?;
-        if cfg.faults.overlong || cfg.faults.truncate {
+        if cfg.faults.overlong {
             session::run_corrupt_seeded(seed)?;
         }
         if cfg.faults.session_disorder {
@@ -300,24 +237,5 @@ pub fn run_suite(cfg: &SimConfig) -> Result<SimReport, Violation> {
     }
     scenarios.push(("session/stepper".into(), cfg.schedules));
 
-    // The expensive capstone: the registry golden digest, reproduced
-    // through the virtual (thread-free) pipeline under a seeded
-    // schedule.
-    let golden_digest = golden::registry_digest_virtual(cfg.seed)?;
-    if golden_digest != REGISTRY_GOLDEN_DIGEST {
-        return Err(Violation::seeded(
-            "golden-digest",
-            cfg.seed,
-            format!(
-                "virtual-pipeline registry digest {golden_digest:#018x} deviates from \
-                 {REGISTRY_GOLDEN_DIGEST:#018x}"
-            ),
-        ));
-    }
-    scenarios.push(("golden/registry-digest".into(), 1));
-
-    Ok(SimReport {
-        scenarios,
-        golden_digest,
-    })
+    Ok(SimReport { scenarios })
 }

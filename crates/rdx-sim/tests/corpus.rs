@@ -6,38 +6,7 @@
 //! violation message reproduces the exact schedule — `rdx sim --seed N`
 //! from the command line, or the same call here under a debugger.
 
-use rdx_sim::fault::InputFault;
-use rdx_sim::{batch, pipeline, session, FaultSet, SimConfig};
-
-/// Bug: `reap_worker` blamed the *input* (`TraceError::Truncated`) when
-/// the decoder thread died without delivering a verdict. The fix types
-/// it `Internal`. Every seed here schedules a decoder death; the
-/// invariant inside the runner rejects any non-`Internal` report.
-#[test]
-fn decoder_death_is_internal_not_truncated() {
-    for seed in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {
-        pipeline::run_worker_death_seeded(seed).expect("death typed Internal");
-    }
-}
-
-/// Bug class: the decode-ahead pipeline reordering or dropping accesses
-/// under uncommon thread interleavings. Exhaustive over the small
-/// scenario — every schedule, not a sample.
-#[test]
-fn every_small_pipeline_schedule_matches_the_oracle() {
-    let n = pipeline::explore_clean_exhaustive(8192).expect("all schedules match oracle");
-    assert!(n > 10, "schedule tree collapsed to {n} schedules");
-}
-
-/// Corrupt input must surface as decoded-prefix-then-typed-error under
-/// any schedule, for both corruption classes.
-#[test]
-fn corrupt_input_delivers_prefix_then_typed_error() {
-    for seed in [7, 11, 42, 1009, 65537] {
-        pipeline::run_faulted_seeded(seed, InputFault::TruncateTail).expect("truncate invariant");
-        pipeline::run_faulted_seeded(seed, InputFault::OverlongVarint).expect("overlong invariant");
-    }
-}
+use rdx_sim::{batch, session, FaultSet, SimConfig};
 
 /// Bug: `profile_batch`'s result channel was unbounded, hiding any
 /// backpressure deadlock the bounded fix could have introduced. The sim
@@ -85,7 +54,6 @@ fn same_seed_replays_identically() {
     let a = rdx_sim::run_suite(&cfg).expect("suite passes");
     let b = rdx_sim::run_suite(&cfg).expect("suite passes");
     assert_eq!(a.scenarios, b.scenarios);
-    assert_eq!(a.golden_digest, b.golden_digest);
 }
 
 /// Smoke: the full suite at a small schedule count, exactly what the CI
@@ -98,6 +66,5 @@ fn run_suite_smoke() {
         faults: FaultSet::all(),
     })
     .expect("full suite passes");
-    assert_eq!(report.golden_digest, rdx_sim::REGISTRY_GOLDEN_DIGEST);
     assert!(report.total_schedules() > 0);
 }

@@ -82,11 +82,6 @@ pub enum TraceError {
     NameTooLong(usize),
     /// Bytes remain after the declared record count was decoded.
     TrailingData(usize),
-    /// An internal pipeline failure: a decode stage went away without
-    /// delivering a verdict (e.g. a decoder thread that exited without
-    /// reporting). Unlike [`Truncated`](TraceError::Truncated) this says
-    /// nothing about the input — it is infrastructure, not data.
-    Internal(&'static str),
 }
 
 /// Former name of [`TraceError`].
@@ -109,9 +104,6 @@ impl fmt::Display for TraceError {
             }
             TraceError::TrailingData(n) => {
                 write!(f, "{n} trailing byte(s) after the declared record count")
-            }
-            TraceError::Internal(what) => {
-                write!(f, "internal decode-pipeline failure: {what}")
             }
         }
     }

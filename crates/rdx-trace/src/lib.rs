@@ -22,11 +22,10 @@
 //!   [`TraceReader`] and typed [`TraceError`]s: malformed input is a
 //!   recoverable error everywhere, never a panic. The reader is
 //!   chunk-capable: [`TraceReader::decode_chunk`] bulk-decodes a whole
-//!   bounded chunk per call, and [`PipelinedReader`] runs that decoder
-//!   on a dedicated thread (decode-ahead over a ring of recycled
-//!   buffers), so file-backed profiling feeds the machine fast path.
-//!   [`PushDecoder`] decodes the same format pushed in arbitrary byte
-//!   fragments, each the moment it arrives (server sessions).
+//!   bounded chunk per call on the consumer's thread, so file-backed
+//!   profiling feeds the machine fast path. [`PushDecoder`] decodes the
+//!   same format pushed in arbitrary byte fragments, each the moment it
+//!   arrives (server sessions).
 //! * [`frame`] — a length-prefixed frame codec with typed
 //!   [`FrameError`]s and [`PayloadWriter`] / [`PayloadReader`] field
 //!   encoding, the wire layer of the `rdx serve` protocol.
@@ -51,7 +50,6 @@ mod event;
 pub mod frame;
 pub mod io;
 pub mod kernels;
-mod pipeline;
 mod stats;
 mod stream;
 mod trace;
@@ -62,9 +60,6 @@ pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
 pub use io::{PushDecoder, TraceError, TraceReader, MAX_NAME_LEN};
 pub use kernels::{DecodeKernel, KernelChoice, KernelEntry, KernelKind};
-pub use pipeline::{
-    DecodeMsg, DecodeTurn, DecoderTask, PipelineOptions, PipelinedReader, VirtualLink,
-};
 pub use stats::TraceStats;
 pub use stream::{AccessStream, FnStream, Opaque, Take};
 pub use trace::Trace;

@@ -9,13 +9,11 @@
 //! is `hint ≥ accesses actually still deliverable`, checked here for
 //! the scalar `TraceReader`, the `Chunked` buffering adapter (in both
 //! pass-through and buffering modes via `Opaque`), the `Take` cap, and
-//! the pipelined decode-ahead reader — over arbitrary record
-//! sequences, chunk capacities, and decode depths.
+//! the bulk chunk decoder — over arbitrary record sequences and chunk
+//! capacities.
 
 use proptest::prelude::*;
-use rdx_trace::{
-    io, AccessStream, Chunked, Opaque, PipelineOptions, PipelinedReader, Trace, TraceReader,
-};
+use rdx_trace::{io, AccessStream, Chunked, Opaque, Trace, TraceReader};
 
 /// Drains `stream`, asserting at every step that the hint is at least
 /// the number of accesses actually still deliverable, and returns the
@@ -49,7 +47,6 @@ proptest! {
     fn hint_never_under_reports(
         records in prop::collection::vec((any::<u64>(), any::<bool>()), 0..200),
         capacity in 1usize..48,
-        depth in 2usize..5,
         cap in 0u64..256,
     ) {
         let t: Trace = records.iter().copied().collect();
@@ -80,37 +77,26 @@ proptest! {
         let reader = TraceReader::new(raw.clone()).unwrap();
         drain_checking_hint(reader.take(cap), total.min(cap), "Take");
 
-        // The pipelined reader decodes ahead on a thread; buffered
-        // chunks must never make the hint dip below what is left.
-        let reader = TraceReader::new(raw).unwrap();
-        let piped = PipelinedReader::with_options(
-            reader,
-            PipelineOptions::default()
-                .with_chunk_capacity(capacity)
-                .with_depth(depth),
-        );
-        let piped = drain_then(piped, total);
-        prop_assert!(piped.finish().is_ok());
-    }
-}
-
-/// `drain_checking_hint` for the pipelined reader, returning it so the
-/// caller can assert a clean `finish()`.
-fn drain_then(mut piped: PipelinedReader, total: u64) -> PipelinedReader {
-    let mut delivered = 0u64;
-    loop {
-        let left = total - delivered;
-        if let Some(hint) = piped.remaining_hint() {
-            assert!(
-                hint >= left,
-                "PipelinedReader: hint {hint} under-reports with {left} of {total} left"
-            );
+        // The bulk decoder's chunk API: a decoded chunk not yet
+        // consumed must be folded into the hint. Consume it one access
+        // at a time so every buffered state is checked.
+        let mut bulk = TraceReader::new(raw).unwrap().with_chunk_capacity(capacity);
+        let mut delivered = 0u64;
+        loop {
+            let left = total - delivered;
+            if let Some(hint) = bulk.remaining_hint() {
+                prop_assert!(
+                    hint >= left,
+                    "bulk: hint {hint} under-reports with {left} of {total} left"
+                );
+            }
+            if bulk.next_chunk().is_none() {
+                break;
+            }
+            bulk.consume_chunk(1);
+            delivered += 1;
         }
-        match piped.next_access() {
-            Some(_) => delivered += 1,
-            None => break,
-        }
+        prop_assert_eq!(delivered, total, "bulk decoder shorted the trace");
+        prop_assert!(bulk.finish().is_ok());
     }
-    assert_eq!(delivered, total, "PipelinedReader shorted the trace");
-    piped
 }
